@@ -3,9 +3,11 @@
 # generated CSVs, serve it on a fixed port, and require (1) the client's
 # query-file mode to be byte-identical to `repro_cli batch` over the same
 # store, (2) the protocol verbs to answer, (3) SIGTERM to exit 0 after
-# "shutdown complete", and (4) a brief --chaos run to inject faults and
-# still serve every query without crashing. Run from the bench build
-# directory by the @server-smoke alias.
+# "shutdown complete", (4) the same byte identity through a one-slot
+# cache, where every query file starts on a cache miss that reads the
+# store, and (5) a brief --chaos run to inject faults and still serve
+# every query without crashing. Run from the bench build directory by the
+# @server-smoke alias.
 set -eu
 
 PORT=7457
@@ -33,6 +35,11 @@ awk 'BEGIN {
     printf "attr < %d ;; attr > %d\n", (i % 7) + 1, i % 3
 }' > srv-queries.txt
 
+awk 'BEGIN {
+  for (i = 0; i < 20; i++)
+    printf "attr >= %d ;; attr <= %d\n", i % 5, (i % 7) + 1
+}' > srv-queries-cd.txt
+
 # two keys so the chaos phase can churn a capacity-1 cache
 ../bin/repro_cli.exe synopsis-build \
   "ab=srv-left.csv:k,srv-right.csv:k" \
@@ -41,6 +48,8 @@ awk 'BEGIN {
 
 ../bin/repro_cli.exe batch ab --store srv-synopses.bin \
   --queries srv-queries.txt > srv-batch-out.txt
+../bin/repro_cli.exe batch cd --store srv-synopses.bin \
+  --queries srv-queries-cd.txt > srv-batch-out-cd.txt
 
 wait_ready() {
   i=0
@@ -95,7 +104,36 @@ grep -q '"verb":"estimate"' srv-access.jsonl
 grep -q '"id":"' srv-access.jsonl
 echo "server vs batch: 20 estimates byte-identical; SIGTERM exited 0"
 
-# ---- phase 2: chaos mode keeps serving ----
+# ---- phase 2: parity across cache misses ----
+
+# capacity 1 over 2 keys: the slot holds whichever key answered last, so
+# each query file below opens on a miss — a per-key store read that
+# resolves that key's two CSVs — and the rest of it hits the cache
+../bin/repro_cli.exe serve --store srv-synopses.bin --port $PORT \
+  --cache-capacity 1 2> srv-miss.log &
+SRV=$!
+wait_ready srv-miss.log
+
+for round in 1 2; do
+  ../bin/repro_cli.exe client --port $PORT --key ab \
+    --queries srv-queries.txt > srv-miss-ab-$round.txt
+  cmp srv-batch-out.txt srv-miss-ab-$round.txt
+  ../bin/repro_cli.exe client --port $PORT --key cd \
+    --queries srv-queries-cd.txt > srv-miss-cd-$round.txt
+  cmp srv-batch-out-cd.txt srv-miss-cd-$round.txt
+done
+
+# the misses really happened: two per round
+../bin/repro_cli.exe client --port $PORT --verb metrics > srv-miss-metrics.txt
+grep '^server_loads_total' srv-miss-metrics.txt \
+  | awk '{ s += $NF } END { exit !(s >= 4) }'
+
+kill -TERM $SRV
+wait $SRV
+grep -q 'shutdown complete' srv-miss.log
+echo "server vs batch through cache misses: 80 estimates byte-identical"
+
+# ---- phase 3: chaos mode keeps serving ----
 
 # capacity 1 over 2 keys: alternating queries miss the cache, forcing
 # real store loads, 90% of which the chaos hook corrupts or fails

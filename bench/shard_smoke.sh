@@ -6,7 +6,10 @@
 # (3) an insert+delete `synopsis-delta` round-trip to produce batch
 #     answers byte-identical to a from-scratch rebuild on the post-delta
 #     CSVs, and
-# (4) the sharded build to emit a "synopsis-build" provenance record.
+# (4) the sharded build to emit a "synopsis-build" provenance record, and
+# (5) the same delta-vs-rebuild store byte identity for a graph the
+#     estimator stores swapped (key side on the left), whose maintained
+#     store must also answer `synopsis-estimate`.
 # Run from the bench build directory by the @shard-smoke alias; on a cmp
 # failure the shard-*.txt outputs are what CI uploads as the diff.
 set -eu
@@ -115,5 +118,52 @@ $CLI synopsis-build "g=shard-delta-left.csv:k,shard-delta-right.csv:k" \
 $CLI batch g --store shard-syn-fresh1.bin --queries shard-queries.txt \
   > shard-batch-fresh1.txt
 cmp shard-batch-delta2.txt shard-batch-fresh1.txt
+
+# ---- phase 3: delta on an entry stored swapped ----
+
+# the left side is a key (k unique) and the right side is not, so the
+# estimator samples the right side first and stores the entry swapped;
+# inserts keep the left side a key so the rebuild swaps the same way
+{
+  echo k,attr
+  i=0
+  while [ $i -lt 40 ]; do
+    echo "$i,$((i % 7))"
+    i=$((i + 1))
+  done
+} > shard-pk.csv
+
+{
+  echo k,attr
+  i=0
+  while [ $i -lt 200 ]; do
+    echo "$((i % 40)),$((i % 5))"
+    i=$((i + 1))
+  done
+} > shard-fk.csv
+
+printf 'k,attr\n40,3\n41,2\n' > shard-ins-pk.csv
+printf 'k,attr\n3,1\n40,4\n' > shard-ins-fk.csv
+
+$CLI synopsis-build "p=shard-pk.csv:k,shard-fk.csv:k" \
+  --theta 0.5 --seed 11 --shards 4 --store shard-syn-p.bin > /dev/null 2>&1
+$CLI synopsis-delta p --store shard-syn-p.bin \
+  --insert-left shard-ins-pk.csv --delete-left 7 \
+  --insert-right shard-ins-fk.csv --delete-right 5,28 \
+  --out-left shard-pdelta-pk.csv --out-right shard-pdelta-fk.csv \
+  > /dev/null 2>&1
+
+# each post-delta table lands at its own side's path (40+2-1 key rows,
+# 200+2-2 non-key rows)
+test "$(($(wc -l < shard-pdelta-pk.csv) - 1))" -eq 41
+test "$(($(wc -l < shard-pdelta-fk.csv) - 1))" -eq 200
+
+$CLI synopsis-estimate p --store shard-syn-p.bin > shard-p-estimate.txt
+$CLI synopsis-build "p=shard-pdelta-pk.csv:k,shard-pdelta-fk.csv:k" \
+  --theta 0.5 --seed 11 --shards 4 --store shard-syn-pfresh.bin \
+  > /dev/null 2>&1
+cmp shard-syn-p.bin shard-syn-pfresh.bin
+$CLI synopsis-estimate p --store shard-syn-pfresh.bin > shard-pfresh-estimate.txt
+cmp shard-p-estimate.txt shard-pfresh-estimate.txt
 
 echo "shard smoke passed"

@@ -627,9 +627,21 @@ let synopsis_build graphs theta store seed shards jobs bench_json =
   let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
   let s = Csdl.Store.create () in
   let prov = Provenance.create () in
+  (* graphs often share base tables; tables are immutable, so each
+     distinct CSV is parsed once per run *)
+  let parsed = Hashtbl.create 16 in
+  let read path =
+    match Hashtbl.find_opt parsed path with
+    | Some table -> table
+    | None ->
+        let table = Csv_io.read_auto path in
+        Hashtbl.replace parsed path table;
+        table
+  in
   List.iter
     (fun (key, lf, lc, rf, rc) ->
-      let table_a = Csv_io.read_auto lf and table_b = Csv_io.read_auto rf in
+      let table_a = read lf in
+      let table_b = read rf in
       let profile = Csdl.Profile.of_tables table_a lc table_b rc in
       let estimator = Csdl.Opt.prepare ~theta profile in
       (* one keyed stream per graph: rebuilding any subset of graphs with
@@ -919,31 +931,27 @@ let synopsis_delta key store insert_left insert_right delete_left delete_right
       Printf.eprintf "error: %s\n" msg;
       exit 1
   in
+  (* the post-delta profile is in sampler orientation; the store entry's
+     table names, paths and fingerprints are in user orientation (left =
+     [table_a]), whichever side the sampler drew first *)
   let post = Csdl.Synopsis_shard.profile sharded in
-  let table_a = post.Csdl.Profile.a.Csdl.Profile.table
-  and table_b = post.Csdl.Profile.b.Csdl.Profile.table in
+  let first = post.Csdl.Profile.a.Csdl.Profile.table
+  and second = post.Csdl.Profile.b.Csdl.Profile.table in
   let left_table, right_table =
-    if entry.swapped then (table_b, table_a) else (table_a, table_b)
+    if entry.swapped then (second, first) else (first, second)
   in
-  let left_path, right_path =
-    let orig_left, orig_right =
-      if entry.swapped then (entry.table_b, entry.table_a)
-      else (entry.table_a, entry.table_b)
-    in
-    ( Option.value out_left ~default:orig_left,
-      Option.value out_right ~default:orig_right )
-  in
+  let left_path = Option.value out_left ~default:entry.table_a
+  and right_path = Option.value out_right ~default:entry.table_b in
   Csv_io.write left_path left_table;
   Csv_io.write right_path right_table;
   let synopsis = Csdl.Synopsis_shard.merge sharded in
   let entry' =
     {
       entry with
-      Csdl.Synopsis_store.table_a =
-        (if entry.swapped then right_path else left_path);
-      table_b = (if entry.swapped then left_path else right_path);
-      fingerprint_a = Table.fingerprint table_a;
-      fingerprint_b = Table.fingerprint table_b;
+      Csdl.Synopsis_store.table_a = left_path;
+      table_b = right_path;
+      fingerprint_a = Table.fingerprint left_table;
+      fingerprint_b = Table.fingerprint right_table;
       (* refresh the drift sentinels' recorded truths against the
          post-delta tables and re-baseline against the delta-maintained
          synopsis — the same pure functions of the profile and synopsis

@@ -94,17 +94,25 @@ let replay flat ~swapped s =
    Recording the build-time q-error lets the server trip only when
    accuracy *worsens* relative to it. Replay is deterministic over the
    flat synopsis, so a delta-maintained store (whose synopsis is
-   bit-identical to a fresh rebuild) records bit-identical baselines. *)
+   bit-identical to a fresh rebuild) records bit-identical baselines.
+   The baseline is recorded honestly, infinity included: a synopsis that
+   answers 0 for a non-empty join (a 0-tuple sample on tiny data) scores
+   inf at build time, and clamping that to 1.0 would make its own fresh
+   replay read as infinitely worse. *)
 let with_baselines flat ~swapped sentinels =
   List.map
     (fun s ->
       let baseline =
         match replay flat ~swapped s with
-        | Some q when Float.is_finite q -> Float.max 1.0 q
+        | Some q when not (Float.is_nan q) -> Float.max 1.0 q
         | _ -> 1.0
       in
       { s with baseline })
     sentinels
+
+(* Equality first: a replay that reproduces its baseline — inf = inf
+   included, where the ratio would be NaN — has not worsened at all. *)
+let worsened s q = if q = s.baseline then 1.0 else q /. Float.max 1.0 s.baseline
 
 let seed (profile : Profile.t) =
   let unfiltered =

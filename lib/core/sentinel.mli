@@ -16,8 +16,9 @@ type t = {
   truth : float;  (** exact join size under those predicates *)
   baseline : float;
       (** the synopsis's q-error on this sentinel at build time
-          ([>= 1.0]); drift means the replayed q-error worsening
-          relative to this, not a large absolute q-error *)
+          ([>= 1.0], possibly [infinity]); drift means the replayed
+          q-error worsening relative to this, not a large absolute
+          q-error *)
 }
 
 val seed : Profile.t -> t list
@@ -38,11 +39,17 @@ val replay : Synopsis_flat.t -> swapped:bool -> t -> float option
     faults hard — a sentinel is advisory and never an error. *)
 
 val with_baselines : Synopsis_flat.t -> swapped:bool -> t list -> t list
-(** Record each sentinel's current q-error (clamped to [>= 1.0]; [1.0]
-    when unreplayable) as its [baseline]. Deterministic over the flat
-    synopsis, so bit-identical synopses record bit-identical baselines —
-    the shard smoke test's delta-vs-rebuild store byte comparison relies
-    on this. *)
+(** Record each sentinel's current q-error (clamped to [>= 1.0], kept
+    when infinite; [1.0] when unreplayable) as its [baseline].
+    Deterministic over the flat synopsis, so bit-identical synopses
+    record bit-identical baselines — the shard smoke test's
+    delta-vs-rebuild store byte comparison relies on this. *)
+
+val worsened : t -> float -> float
+(** [worsened s q]: how many times worse the replayed q-error [q] is
+    than [s]'s build-time baseline. A replay equal to the baseline is
+    exactly [1.0] — [inf] against an [inf] baseline included — so a
+    fresh store replays at [1.0] however hard its sentinels are. *)
 
 val predicates :
   t ->

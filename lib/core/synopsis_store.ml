@@ -309,6 +309,9 @@ let get_rate r =
       let c = get_f64 r in
       let light = get_f64 r in
       let n = get_count r "heavy-hitter" in
+      (* each binding takes at least 9 bytes; bounding [n] first keeps a
+         corrupted count from sizing a huge table *)
+      need r (min n (String.length r.data) * 9);
       let heavy = Value.Tbl.create (max 16 n) in
       for _ = 1 to n do
         let v = get_value r in
@@ -338,29 +341,49 @@ let get_budget r =
     budget;
   }
 
-(* Iteration order of the rebuilt hashtable is immaterial since PR 8:
-   every float accumulation downstream (flat layout, budget solving,
-   profile scans) runs in the canonical Shard_key order, and N' is an
-   exact integer-valued sum — so the decoder just re-adds the recorded
+(* A row index addresses the resolved table: one past its end would pass
+   every checksum and then crash the first estimate that reads the row,
+   so the decoder rejects it here. *)
+let get_row r ~cardinality =
+  let i = get_int r in
+  if i < 0 || i >= cardinality then
+    fail "row"
+      (Printf.sprintf "row index %d outside a table of %d rows" i cardinality);
+  i
+
+(* Iteration order of the rebuilt hashtable is immaterial: every float
+   accumulation downstream (flat layout, budget solving, profile scans)
+   runs in the canonical Shard_key order, and N' is an exact
+   integer-valued sum — so the decoder just re-adds the recorded
    bindings. The round-trip test in test_store.ml pins the resulting
-   bit-identity for every variant. *)
-let get_entries r acc =
+   bit-identity for every variant.
+
+   With [table = None] the entries are only walked: every field is still
+   parsed, so the segment's trailing-byte check holds, but no row is
+   range-checked and nothing is kept. *)
+let get_entries r ~table acc =
+  let cardinality =
+    match table with Some t -> Table.cardinality t | None -> max_int
+  in
+  let keep = Option.is_some table in
   let n = get_count r "sample entry" in
   let bindings = ref acc in
   for _ = 1 to n do
     let v = get_value r in
-    let sentry_row = get_opt get_int r in
+    let sentry_row = get_opt (get_row ~cardinality) r in
     let rows_n = get_count r "row" in
     need r (rows_n * 8);
     (* explicit loop: Array.init does not guarantee evaluation order, and
        the reader is stateful *)
-    let rows = Array.make rows_n 0 in
+    let rows = Array.make (if keep then rows_n else 0) 0 in
     for i = 0 to rows_n - 1 do
-      rows.(i) <- get_int r
+      let row = get_row ~cardinality r in
+      if keep then rows.(i) <- row
     done;
     let p_v = get_f64 r in
     let q_v = get_f64 r in
-    bindings := (v, { Sample.sentry_row; rows; p_v; q_v }) :: !bindings
+    if keep then
+      bindings := (v, { Sample.sentry_row; rows; p_v; q_v }) :: !bindings
   done;
   !bindings
 
@@ -389,23 +412,56 @@ let get_sample r ~shards ~table =
         (Printf.sprintf "shard %d: recorded checksum %Lx, segment hashes to %Lx"
            k recorded actual);
     let sr = { data = bytes; pos = 0 } in
-    bindings := get_entries sr !bindings;
+    bindings := get_entries sr ~table !bindings;
     if sr.pos <> seg_len then
       fail "shard segment"
         (Printf.sprintf "shard %d: %d trailing bytes after last entry" k
            (seg_len - sr.pos))
   done;
-  let entries = Value.Tbl.create 256 in
-  List.iter (fun (v, e) -> Value.Tbl.add entries v e) !bindings;
-  let sentries =
-    Value.Tbl.fold
-      (fun _ (e : Sample.entry) acc ->
-        match e.Sample.sentry_row with Some _ -> acc + 1 | None -> acc)
-      entries 0
-  in
-  { Sample.table; column; entries; tuple_count; sentries }
+  Option.map
+    (fun table ->
+      let entries = Value.Tbl.create 256 in
+      List.iter (fun (v, e) -> Value.Tbl.add entries v e) !bindings;
+      let sentries =
+        Value.Tbl.fold
+          (fun _ (e : Sample.entry) acc ->
+            match e.Sample.sentry_row with Some _ -> acc + 1 | None -> acc)
+          entries 0
+      in
+      { Sample.table; column; entries; tuple_count; sentries })
+    table
 
-let get_stored r ~resolve_table =
+(* Resolve and fingerprint-check an entry's two tables; a self-join
+   resolves its one table once. *)
+let resolve_tables ~resolve_table ~table_a ~table_b ~fingerprint_a
+    ~fingerprint_b =
+  let resolve name =
+    match resolve_table name with
+    | table -> table
+    | exception exn ->
+        fail "table"
+          (Printf.sprintf "cannot resolve %S: %s" name (Printexc.to_string exn))
+  in
+  let resolved_a = resolve table_a in
+  let resolved_b =
+    if String.equal table_b table_a then resolved_a else resolve table_b
+  in
+  let check name table recorded =
+    let actual = Table.fingerprint table in
+    if actual <> recorded then
+      fail "fingerprint"
+        (Printf.sprintf "table %S: recorded %Lx, resolved data hashes to %Lx"
+           name recorded actual)
+  in
+  check table_a resolved_a fingerprint_a;
+  check table_b resolved_b fingerprint_b;
+  (resolved_a, resolved_b)
+
+(* Parse one entry. Only an entry whose key satisfies [wanted] has its
+   tables resolved and its samples built; any other is walked through
+   the same readers, so every length, checksum and structural check
+   still runs on it. *)
+let get_stored r ~resolve_table ~wanted =
   let key = get_str r in
   let table_a = get_str r in
   let table_b = get_str r in
@@ -425,46 +481,40 @@ let get_stored r ~resolve_table =
     sentinels := { Sentinel.left_pred; right_pred; truth; baseline } :: !sentinels
   done;
   let sentinels = List.rev !sentinels in
-  let resolve name =
-    match resolve_table name with
-    | table -> table
-    | exception exn ->
-        fail "table"
-          (Printf.sprintf "cannot resolve %S: %s" name (Printexc.to_string exn))
-  in
-  let resolved_a = resolve table_a and resolved_b = resolve table_b in
-  let check name table recorded =
-    let actual = Table.fingerprint table in
-    if actual <> recorded then
-      fail "fingerprint"
-        (Printf.sprintf "table %S: recorded %Lx, resolved data hashes to %Lx"
-           name recorded actual)
-  in
-  check table_a resolved_a fingerprint_a;
-  check table_b resolved_b fingerprint_b;
   (* the samples are stored in sampler orientation: the first-sampled side
      lives on table_b when the estimator swapped *)
   let first, second =
-    if swapped then (resolved_b, resolved_a) else (resolved_a, resolved_b)
+    if not (wanted key) then (None, None)
+    else
+      let resolved_a, resolved_b =
+        resolve_tables ~resolve_table ~table_a ~table_b ~fingerprint_a
+          ~fingerprint_b
+      in
+      if swapped then (Some resolved_b, Some resolved_a)
+      else (Some resolved_a, Some resolved_b)
   in
   let resolved = get_budget r in
   let sample_a = get_sample r ~shards ~table:first in
   let sample_b = get_sample r ~shards ~table:second in
   let n_prime = get_f64 r in
-  {
-    key;
-    table_a;
-    table_b;
-    swapped;
-    fingerprint_a;
-    fingerprint_b;
-    prng_key;
-    shards;
-    sentinels;
-    synopsis = { Synopsis.resolved; sample_a; sample_b; n_prime };
-  }
+  match (sample_a, sample_b) with
+  | Some sample_a, Some sample_b ->
+      Some
+        {
+          key;
+          table_a;
+          table_b;
+          swapped;
+          fingerprint_a;
+          fingerprint_b;
+          prng_key;
+          shards;
+          sentinels;
+          synopsis = { Synopsis.resolved; sample_a; sample_b; n_prime };
+        }
+  | _ -> None
 
-let decode ~resolve_table data =
+let decode_matching ~resolve_table ~wanted data =
   match
     if String.length data < 40 then fail "header" "file shorter than header";
     if String.sub data 0 8 <> magic then fail "magic" "not a synopsis store";
@@ -493,7 +543,9 @@ let decode ~resolve_table data =
     let n = get_count pr "entry" in
     let entries = ref [] in
     for _ = 1 to n do
-      entries := get_stored pr ~resolve_table :: !entries
+      match get_stored pr ~resolve_table ~wanted with
+      | Some s -> entries := s :: !entries
+      | None -> ()
     done;
     let entries = List.rev !entries in
     if pr.pos <> String.length payload then
@@ -506,6 +558,21 @@ let decode ~resolve_table data =
       Error
         (Fault.Store_mismatch
            { what = "payload"; detail = Printexc.to_string exn })
+
+let decode ~resolve_table data =
+  decode_matching ~resolve_table ~wanted:(fun _ -> true) data
+
+(* A store written by [Store.save] holds each key once; should a file
+   repeat one, the last copy wins, as it does for [Store.load_result]
+   and the serving engine's snapshot. *)
+let decode_entry ~resolve_table ~key data =
+  match decode_matching ~resolve_table ~wanted:(String.equal key) data with
+  | Error _ as e -> e
+  | Ok [] ->
+      Error
+        (Fault.Store_mismatch
+           { what = "key"; detail = key ^ " missing from store" })
+  | Ok entries -> Ok (List.nth entries (List.length entries - 1))
 
 (* ---------------- file IO ---------------- *)
 
@@ -531,7 +598,7 @@ let write ~path entries =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise exn
 
-let read ~resolve_table ~path =
+let read_file path =
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -542,4 +609,10 @@ let read ~resolve_table ~path =
       Error (Fault.Store_mismatch { what = "file"; detail = e })
   | exception End_of_file ->
       Error (Fault.Store_mismatch { what = "file"; detail = path ^ ": truncated" })
-  | data -> decode ~resolve_table data
+  | data -> Ok data
+
+let read ~resolve_table ~path =
+  Result.bind (read_file path) (decode ~resolve_table)
+
+let read_entry ~resolve_table ~path ~key =
+  Result.bind (read_file path) (decode_entry ~resolve_table ~key)

@@ -65,8 +65,24 @@ val decode :
   (stored list, Fault.error) result
 (** Parse a file image. Every failure — bad magic, version or layout
     drift, checksum mismatch, truncated or malformed payload, resolver
-    failure, fingerprint mismatch — comes back as
+    failure, fingerprint mismatch, a sampled row or sentry index outside
+    its resolved table ([what = "row"]) — comes back as
     [Error (Store_mismatch _)]; this function never raises. *)
+
+val decode_entry :
+  resolve_table:(string -> Table.t) ->
+  key:string ->
+  string ->
+  (stored, Fault.error) result
+(** The entry stored under [key], through the same decoder as {!decode}.
+    Every whole-file check still runs — magic, version, schema hash,
+    payload checksum, each shard segment's length, checksum and
+    trailing bytes, no bytes after the last entry — but only [key]'s two
+    tables are resolved and fingerprint-checked and only its samples are
+    built: the other entries are walked, never rehydrated, so a missing
+    or changed table of another entry does not fail this call. A key
+    absent from the image is [Error (Store_mismatch {what = "key"; _})].
+    Never raises. *)
 
 val write : path:string -> stored list -> unit
 (** Crash-safe: the image is written to a temp file in [path]'s directory
@@ -80,3 +96,11 @@ val read :
   (stored list, Fault.error) result
 (** [encode]/[decode] through a file; unreadable files are
     [Error (Store_mismatch {what = "file"; _})]. *)
+
+val read_entry :
+  resolve_table:(string -> Table.t) ->
+  path:string ->
+  key:string ->
+  (stored, Fault.error) result
+(** {!decode_entry} through a file, as {!read} is {!decode}: the
+    per-key load of a serving cache miss. *)

@@ -22,13 +22,15 @@ let expired = function
   | None -> false
   | Some deadline -> Deadline.exceeded deadline
 
-let retry ?(sleep = Clock.sleepf) ?deadline policy prng f =
+let retry ?(sleep = Clock.sleepf) ?deadline ?(retryable = fun _ -> true) policy
+    prng f =
   let attempts = max 1 policy.attempts in
   let rec go attempt =
     match f () with
     | Ok _ as ok -> (ok, attempt + 1)
-    | Error _ as err ->
-        if attempt + 1 >= attempts || expired deadline then (err, attempt + 1)
+    | Error e as err ->
+        if attempt + 1 >= attempts || expired deadline || not (retryable e) then
+          (err, attempt + 1)
         else begin
           let d = delay policy prng ~attempt in
           let d =

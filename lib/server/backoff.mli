@@ -25,6 +25,7 @@ val delay : policy -> Repro_util.Prng.t -> attempt:int -> float
 val retry :
   ?sleep:Repro_util.Clock.sleeper ->
   ?deadline:Deadline.t ->
+  ?retryable:('e -> bool) ->
   policy ->
   Repro_util.Prng.t ->
   (unit -> ('a, 'e) result) ->
@@ -34,4 +35,6 @@ val retry :
     last [Error]) along with the number of attempts made. With [deadline],
     no further attempt starts once it has expired, and each sleep is
     truncated to the remaining budget — retrying never blows through a
-    request deadline. *)
+    request deadline. An error for which [retryable] (default: every
+    error) is false ends the sequence at once: a fault that another
+    attempt cannot cure costs no sleeps. *)

@@ -80,21 +80,52 @@ let prior_of_synopsis (syn : Csdl.Synopsis.t) =
   if d = 0 then 0.0
   else float_of_int card_a *. float_of_int card_b /. float_of_int d
 
-let meta_of_stored (s : Csdl.Synopsis_store.stored) =
+let cache_key_of_stored (s : Csdl.Synopsis_store.stored) =
   let resolved = s.synopsis.Csdl.Synopsis.resolved in
   {
-    m_cache_key =
-      {
-        Cache.fp_a = s.fingerprint_a;
-        fp_b = s.fingerprint_b;
-        variant = Csdl.Spec.to_string resolved.Csdl.Budget.spec;
-        theta = resolved.Csdl.Budget.theta;
-        prng_key = s.prng_key;
-      };
+    Cache.fp_a = s.fingerprint_a;
+    fp_b = s.fingerprint_b;
+    variant = Csdl.Spec.to_string resolved.Csdl.Budget.spec;
+    theta = resolved.Csdl.Budget.theta;
+    prng_key = s.prng_key;
+  }
+
+let meta_of_stored (s : Csdl.Synopsis_store.stored) =
+  {
+    m_cache_key = cache_key_of_stored s;
     m_swapped = s.swapped;
     m_prior = prior_of_synopsis s.synopsis;
     m_shards = s.shards;
   }
+
+(* A miss must serve the synopsis its snapshot describes. The store file
+   can be rewritten under a live server (a rebuild or a delta) and is
+   only swapped in by [reload]; until then the handler keeps orienting
+   predicates by the snapshot's [m_swapped], so an entry that no longer
+   matches the snapshot's fingerprints, variant, theta, PRNG key or
+   orientation must not answer. *)
+let check_snapshot meta (s : Csdl.Synopsis_store.stored) =
+  let k = cache_key_of_stored s and m = meta.m_cache_key in
+  if s.swapped = meta.m_swapped && k = m then Ok s
+  else
+    Error
+      (Fault.Store_mismatch
+         {
+           what = "snapshot";
+           detail =
+             Printf.sprintf
+               "%s was rewritten since the last reload (store: %s theta=%g \
+                prng=%S swapped=%b; snapshot: %s theta=%g prng=%S \
+                swapped=%b)"
+               s.key k.Cache.variant k.Cache.theta k.Cache.prng_key s.swapped
+               m.Cache.variant m.Cache.theta m.Cache.prng_key meta.m_swapped;
+         })
+
+(* Faults that persist until the next [reload]: retrying the load cannot
+   help, and the store itself read fine. *)
+let stale_snapshot = function
+  | Fault.Store_mismatch { what = "snapshot" | "key"; _ } -> true
+  | _ -> false
 
 (* ---------------- drift sentinels ---------------- *)
 
@@ -122,7 +153,7 @@ let replay_sentinels t entries =
             | Some q ->
                 incr replayed;
                 if q > !worst then worst := q;
-                let w = q /. Float.max 1.0 sen.Csdl.Sentinel.baseline in
+                let w = Csdl.Sentinel.worsened sen q in
                 if w > !worsened then worsened := w;
                 Repro_obs.Rolling.Histogram.observe t.sentinel_window q)
           s.sentinels;
@@ -239,62 +270,53 @@ let cache_insert t meta syn =
   Cache.insert t.cache meta.m_cache_key syn;
   Mutex.unlock t.cache_mutex
 
-(* One decode of the store file, with chaos injection. Chaos draws from a
-   per-load keyed stream, so a run replays exactly from (seed, load
-   sequence); a silent corruption is returned as [Ok] on purpose — the
-   checked estimator, not the loader, must catch it. *)
-let load_once t key seq =
+(* One per-key read of the store file, with chaos injection. Only the
+   entry for [key] is rehydrated — its two tables resolved and
+   fingerprint-checked — while the rest of the file is still verified.
+   Chaos draws from a per-load keyed stream, so a run replays exactly
+   from (seed, load sequence); a silent corruption is returned as [Ok] on
+   purpose — the checked estimator, not the loader, must catch it. *)
+let load_once t key meta seq =
   Obs.count t.obs "server.loads.total" 1;
   match
-    Csdl.Synopsis_store.read ~resolve_table:t.resolve_table
-      ~path:t.store_path
+    Result.bind
+      (Csdl.Synopsis_store.read_entry ~resolve_table:t.resolve_table
+         ~path:t.store_path ~key)
+      (check_snapshot meta)
   with
   | Error _ as e -> e
-  | Ok entries -> (
-      match
-        List.find_opt
-          (fun (s : Csdl.Synopsis_store.stored) -> s.key = key)
-          entries
-      with
-      | None ->
+  | Ok s ->
+      (* flatten {e after} any chaos corruption: the memoized validation
+         verdict must describe the synopsis actually served, so the
+         checked estimator still catches injected corruption *)
+      let flat syn = Csdl.Synopsis_flat.of_synopsis syn in
+      if t.config.chaos <= 0.0 then Ok (flat s.synopsis)
+      else
+        let prng =
+          Prng.create_keyed ~seed:t.config.seed
+            (Printf.sprintf "chaos/%s/load=%d" key seq)
+        in
+        if Prng.float prng >= t.config.chaos then Ok (flat s.synopsis)
+        else if Prng.bool prng then begin
+          Obs.count t.obs
+            ~labels:[ ("mode", "fail") ]
+            "server.chaos.injected" 1;
           Error
             (Fault.Store_mismatch
-               { what = "key"; detail = key ^ " missing from store" })
-      | Some s ->
-          (* flatten {e after} any chaos corruption: the memoized
-             validation verdict must describe the synopsis actually
-             served, so the checked estimator still catches injected
-             corruption *)
-          let flat syn = Csdl.Synopsis_flat.of_synopsis syn in
-          if t.config.chaos <= 0.0 then Ok (flat s.synopsis)
-          else
-            let prng =
-              Prng.create_keyed ~seed:t.config.seed
-                (Printf.sprintf "chaos/%s/load=%d" key seq)
-            in
-            if Prng.float prng >= t.config.chaos then Ok (flat s.synopsis)
-            else if Prng.bool prng then begin
-              Obs.count t.obs
-                ~labels:[ ("mode", "fail") ]
-                "server.chaos.injected" 1;
-              Error
-                (Fault.Store_mismatch
-                   {
-                     what = "chaos";
-                     detail = "injected load failure for " ^ key;
-                   })
-            end
-            else begin
-              Obs.count t.obs
-                ~labels:[ ("mode", "corrupt") ]
-                "server.chaos.injected" 1;
-              let fault = Fault_injection.pick prng in
-              Ok (flat (Fault_injection.corrupt fault prng s.synopsis))
-            end)
+               { what = "chaos"; detail = "injected load failure for " ^ key })
+        end
+        else begin
+          Obs.count t.obs
+            ~labels:[ ("mode", "corrupt") ]
+            "server.chaos.injected" 1;
+          let fault = Fault_injection.pick prng in
+          Ok (flat (Fault_injection.corrupt fault prng s.synopsis))
+        end
 
 (* Resolve a synopsis: cache, then a single-flight breaker-gated retrying
    decode. The breaker counts one failure per exhausted retry sequence
-   (not per attempt), so [threshold] consecutive doomed loads trip it.
+   (not per attempt), so [threshold] consecutive doomed loads trip it. A
+   stale snapshot is neither retried nor counted: only [reload] cures it.
    The second component reports whether the first lookup hit the cache —
    the access log's cache column. *)
 let load t ~deadline key meta =
@@ -322,13 +344,20 @@ let load t ~deadline key meta =
                       (Printf.sprintf "backoff/%s/seq=%d" key seq)
                   in
                   let result, _attempts =
-                    Backoff.retry ~sleep:t.sleep ~deadline t.config.backoff
-                      jitter (fun () -> load_once t key seq)
+                    Backoff.retry ~sleep:t.sleep ~deadline
+                      ~retryable:(fun fault -> not (stale_snapshot fault))
+                      t.config.backoff jitter
+                      (fun () -> load_once t key meta seq)
                   in
                   (match result with
                   | Ok syn ->
                       Breaker.success t.breaker key;
                       cache_insert t meta syn
+                  | Error fault when stale_snapshot fault ->
+                      (* the store is healthy, the snapshot is behind it:
+                         nothing for the breaker to count, and a reload
+                         must not find the key's breaker open *)
+                      Breaker.success t.breaker key
                   | Error _ -> Breaker.failure t.breaker key);
                   result)),
         false )

@@ -6,15 +6,21 @@
     decodes the store once to learn the key set and per-key metadata
     (orientation, cache key, independence prior) and warms the synopsis
     cache. At serving time a request for a key resolves its synopsis
-    through, in order: the mutex-wrapped LRU cache; a single-flight decode
+    through, in order: the mutex-wrapped LRU cache; a single-flight load
     shared by every domain missing on the same key; a per-key circuit
-    breaker; and retry with jittered backoff. Every failure mode ends in a
-    typed outcome — never an exception and never a hang:
+    breaker; and retry with jittered backoff. A load reads only the
+    missed key's entry ({!Csdl.Synopsis_store.read_entry}: the whole file
+    verified, that key's two tables resolved) and must match the
+    snapshot's metadata; an entry rewritten since the last {!reload}
+    degrades with [Store_mismatch {what = "snapshot"}], unretried. Every
+    failure mode ends in a typed outcome — never an exception and never a
+    hang:
 
     - [Answered v]: the full CSDL estimation path ran; [v] is
       byte-identical to what [repro_cli batch] prints for the same query.
     - [Degraded _]: the synopsis could not be loaded (torn store, tripped
-      breaker, injected chaos) or failed checked estimation; the reply is
+      breaker, injected chaos, a store rewritten under the snapshot) or
+      failed checked estimation; the reply is
       the sampling-free independence prior [|A|·|B| / max(d_A, d_B)],
       with the downgrade trace reporting exactly what happened.
     - [Deadline_exceeded _]: the request ran out of its time budget.

@@ -159,6 +159,21 @@ let test_backoff_deadline_stops_retries () =
   Alcotest.(check int) "single attempt when expired" 1 attempts;
   Alcotest.(check int) "one call" 1 !calls
 
+let test_backoff_stops_on_non_retryable () =
+  let calls = ref 0 in
+  let r, attempts =
+    Backoff.retry ~sleep:Clock.no_sleep
+      ~retryable:(fun e -> e <> "permanent")
+      { Backoff.default with attempts = 5 }
+      (Prng.create 1)
+      (fun () ->
+        incr calls;
+        Error (if !calls < 2 then "transient" else "permanent"))
+  in
+  Alcotest.(check bool) "permanent error surfaces" true (r = Error "permanent");
+  Alcotest.(check int) "retried the transient, not the permanent" 2 attempts;
+  Alcotest.(check int) "f called per attempt" 2 !calls
+
 (* ---------------- breaker ---------------- *)
 
 let test_breaker_trips_and_recovers () =
@@ -628,6 +643,93 @@ let test_engine_chaos_is_deterministic () =
       Alcotest.(check bool) "chaos actually degrades something" true
         (List.mem "degraded" a))
 
+(* The store file can be rewritten under a live server (a rebuild or a
+   delta) before anyone sends [reload]. A cache miss must then refuse to
+   serve the rewritten entry under the old snapshot — whose orientation
+   the handler still uses — degrading through the load rung at once, with
+   no retries and nothing counted against the breaker; after [reload]
+   the key answers from the new store. *)
+let test_engine_miss_rejects_stale_snapshot () =
+  with_store (fun store path ->
+      let obs = Obs.create () in
+      let config = { Engine.default_config with cache_capacity = 1 } in
+      let engine = engine_exn ~obs ~sleep:Clock.no_sleep config path in
+      let loads () =
+        match Obs.registry obs with
+        | None -> Alcotest.fail "live obs expected"
+        | Some registry ->
+            Metrics.Counter.value
+              (Metrics.Registry.counter registry "server.loads.total")
+      in
+      let rewrite ?prng_key ?sample_first seed =
+        let profile =
+          Csdl.Profile.of_tables (resolve_table "a") "k" (resolve_table "b") "k"
+        in
+        let estimator =
+          Csdl.Estimator.prepare ?sample_first
+            (Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_theta)
+            ~theta:0.5 profile
+        in
+        let synopsis = Csdl.Estimator.draw estimator (Prng.create seed) in
+        Csdl.Store.add ?prng_key store ~key:"a-b" ~table_a:"a" ~table_b:"b"
+          estimator synopsis;
+        Csdl.Store.save store path
+      in
+      let pred_a = Predicate.Compare (Predicate.Lt, "attr", Value.Int 3) in
+      let pred_b = Predicate.Compare (Predicate.Gt, "attr", Value.Int 1) in
+      let request () =
+        Engine.handle engine ~deadline:(far_deadline Clock.wall) ~key:"a-b"
+          ~pred_a ~pred_b ()
+      in
+      let expect_stale what =
+        let before = loads () in
+        (match request () with
+        | Engine.Degraded
+            {
+              trace =
+                [
+                  {
+                    Csdl.Fault.rung = "synopsis load";
+                    fault = Csdl.Fault.Store_mismatch { what = "snapshot"; _ };
+                  };
+                ];
+              _;
+            } ->
+            ()
+        | Engine.Degraded { trace; _ } ->
+            Alcotest.failf "%s: unexpected trace %s" what
+              (Csdl.Fault.trace_to_string trace)
+        | o ->
+            Alcotest.failf "%s: expected Degraded, got %s" what
+              (Engine.outcome_class o));
+        Alcotest.(check int) (what ^ ": one load, no retries") 1
+          (loads () - before);
+        Alcotest.(check bool)
+          (what ^ ": breaker not charged") true
+          (Engine.breaker_state engine "a-b" = `Closed 0)
+      in
+      (* capacity 1 holds the last-warmed pk-fk, so a-b misses *)
+      rewrite ~prng_key:"8:synopsis/a-b" 8;
+      expect_stale "another draw";
+      (* same tables, variant, theta and PRNG key as the snapshot: only
+         the orientation differs, the case that answered silently wrong *)
+      rewrite ~sample_first:`B 7;
+      Alcotest.(check bool) "fixture: the rewrite flipped orientation" true
+        (match Csdl.Store.info store "a-b" with
+        | Some i -> i.Csdl.Store.i_swapped
+        | None -> false);
+      expect_stale "flipped orientation";
+      (match Engine.reload engine with
+      | Ok n -> Alcotest.(check int) "reloaded keys" 2 n
+      | Error e -> Alcotest.failf "reload: %s" (Csdl.Fault.error_to_string e));
+      let want = Csdl.Store.estimate store ~key:"a-b" ~pred_a ~pred_b in
+      match request () with
+      | Engine.Answered got ->
+          if got <> want then
+            Alcotest.failf "after reload: %h vs new store %h" got want
+      | o ->
+          Alcotest.failf "expected Answered, got %s" (Engine.outcome_class o))
+
 (* ---------------- drift sentinels ---------------- *)
 
 (* Deterministic accuracy-regression trip: rewrite the stored sentinel
@@ -716,6 +818,37 @@ let test_engine_drift_sentinels () =
            (List.filter
               (fun d -> d.Engine.d_fault <> None)
               (Engine.drift_status engine))))
+
+(* A store whose synopsis answers 0 for a non-empty join (a 0-tuple
+   sample on tiny data) scores an infinite q-error at build time. That
+   is its honest baseline: replaying it on the fresh store is exactly
+   1.0x, not an infinite worsening. *)
+let test_engine_zero_tuple_store_does_not_drift () =
+  let store = Csdl.Store.create () in
+  let profile =
+    Csdl.Profile.of_tables (resolve_table "a") "k" (resolve_table "b") "k"
+  in
+  let estimator = Csdl.Opt.prepare ~theta:1e-4 profile in
+  let synopsis = Csdl.Estimator.draw estimator (Prng.create 7) in
+  Alcotest.(check int) "fixture: 0 sample tuples" 0
+    (Csdl.Synopsis.size_tuples synopsis);
+  Csdl.Store.add store ~key:"a-b" ~table_a:"a" ~table_b:"b" estimator synopsis;
+  Alcotest.(check bool) "fixture: an infinite build-time q-error" true
+    (List.exists
+       (fun (s : Csdl.Sentinel.t) -> s.baseline = Float.infinity)
+       (Csdl.Store.sentinels store "a-b"));
+  let path = Filename.temp_file "repro-server" ".synopses" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Csdl.Store.save store path;
+      let engine = engine_exn Engine.default_config path in
+      match Engine.drift_status engine with
+      | [ d ] ->
+          Alcotest.(check (float 0.0)) "replays at exactly 1.0x" 1.0
+            d.Engine.d_worsened;
+          Alcotest.(check bool) "no drift fault" true (d.Engine.d_fault = None)
+      | l -> Alcotest.failf "expected one drift status, got %d" (List.length l))
 
 (* ---------------- server + client over a real socket ---------------- *)
 
@@ -878,6 +1011,8 @@ let () =
           Alcotest.test_case "attempt accounting" `Quick test_backoff_retry_counts;
           Alcotest.test_case "deadline stops retries" `Quick
             test_backoff_deadline_stops_retries;
+          Alcotest.test_case "non-retryable error stops retries" `Quick
+            test_backoff_stops_on_non_retryable;
         ] );
       ( "breaker",
         [
@@ -921,6 +1056,10 @@ let () =
             test_engine_chaos_is_deterministic;
           Alcotest.test_case "drift sentinels trip deterministically" `Quick
             test_engine_drift_sentinels;
+          Alcotest.test_case "miss rejects a stale snapshot" `Quick
+            test_engine_miss_rejects_stale_snapshot;
+          Alcotest.test_case "fresh 0-tuple store does not drift" `Quick
+            test_engine_zero_tuple_store_does_not_drift;
         ] );
       ( "socket",
         [

@@ -461,6 +461,308 @@ let test_store_replace_same_key () =
   Csdl.Store.add store ~key:"a-b" ~table_a:"a" ~table_b:"b" estimator synopsis;
   Alcotest.(check int) "still two keys" 2 (List.length (Csdl.Store.keys store))
 
+(* ---------------- sampled row indices ---------------- *)
+
+(* A row index past the end of its resolved table passes every checksum
+   (the encoder wrote it faithfully) and would crash the first estimate
+   that reads it; the decoder must reject it as a typed fault, whether
+   the whole store or just that entry is read. *)
+let test_rejects_out_of_range_rows () =
+  let corruptions =
+    [
+      ( "row past the table",
+        fun (sample : Csdl.Sample.t) ->
+          let _, (e : Csdl.Sample.entry) =
+            List.find
+              (fun (_, (e : Csdl.Sample.entry)) -> Array.length e.rows > 0)
+              (Csdl.Shard_key.sorted_bindings sample.Csdl.Sample.entries)
+          in
+          e.Csdl.Sample.rows.(0) <- Table.cardinality sample.Csdl.Sample.table
+      );
+      ( "negative sentry",
+        fun (sample : Csdl.Sample.t) ->
+          let v, (e : Csdl.Sample.entry) =
+            List.hd (Csdl.Shard_key.sorted_bindings sample.Csdl.Sample.entries)
+          in
+          Value.Tbl.replace sample.Csdl.Sample.entries v
+            { e with Csdl.Sample.sentry_row = Some (-1) } );
+    ]
+  in
+  List.iter
+    (fun (what, corrupt) ->
+      let profile = Csdl.Profile.of_tables (table "a") "k" (table "b") "k" in
+      (* theta = 1 samples every tuple: both samples are non-empty *)
+      let estimator = Csdl.Opt.prepare ~theta:1.0 profile in
+      let synopsis = Csdl.Estimator.draw estimator (Prng.create 5) in
+      corrupt synopsis.Csdl.Synopsis.sample_a;
+      let stored =
+        {
+          Csdl.Synopsis_store.key = "q";
+          table_a = "a";
+          table_b = "b";
+          swapped = Csdl.Estimator.swapped estimator;
+          fingerprint_a = Table.fingerprint (table "a");
+          fingerprint_b = Table.fingerprint (table "b");
+          prng_key = "";
+          shards = 1;
+          sentinels = [];
+          synopsis;
+        }
+      in
+      let path = Filename.temp_file "repro" ".synopses" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Csdl.Synopsis_store.write ~path [ stored ];
+          let expect_row name = function
+            | Error (Csdl.Fault.Store_mismatch { what = "row"; _ }) -> ()
+            | Error e ->
+                Alcotest.failf "%s, %s: expected a row fault, got %s" what
+                  name (Csdl.Fault.error_to_string e)
+            | Ok _ -> Alcotest.failf "%s, %s: decoded" what name
+          in
+          expect_row "read" (Csdl.Synopsis_store.read ~resolve_table ~path);
+          expect_row "read_entry"
+            (Csdl.Synopsis_store.read_entry ~resolve_table ~path ~key:"q")))
+    corruptions
+
+(* ---------------- per-entry read ---------------- *)
+
+(* Three entries: a plain one, one the estimator stores swapped (the PK
+   side is user-facing A) and a self-join, persisted at [shards]. *)
+let multi_entry_image ~shards =
+  let store = Csdl.Store.create () in
+  let register key ta tb spec =
+    let profile = Csdl.Profile.of_tables (table ta) "k" (table tb) "k" in
+    let estimator = Csdl.Estimator.prepare spec ~theta:0.5 profile in
+    let synopsis = Csdl.Estimator.draw estimator (Prng.create 7) in
+    Csdl.Store.add ~shards store ~key ~table_a:ta ~table_b:tb estimator
+      synopsis
+  in
+  register "a-a" "a" "a" (Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff);
+  register "a-b" "a" "b" (Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_theta);
+  register "pk-fk" "pk" "fk" Csdl.Spec.cs2l;
+  let swapped key =
+    match Csdl.Store.info store key with
+    | Some i -> i.Csdl.Store.i_swapped
+    | None -> Alcotest.failf "fixture: %s missing" key
+  in
+  Alcotest.(check bool) "fixture: pk-fk is stored swapped" true
+    (swapped "pk-fk");
+  Alcotest.(check bool) "fixture: a-b is not" false (swapped "a-b");
+  let path = Filename.temp_file "repro" ".synopses" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Csdl.Store.save store path;
+      let ic = open_in_bin path in
+      let image = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      image)
+
+let entry_keys =
+  [ ("a-a", [ "a" ]); ("a-b", [ "a"; "b" ]); ("pk-fk", [ "fk"; "pk" ]) ]
+
+let flat_estimates (s : Csdl.Synopsis_store.stored) =
+  let flat = Csdl.Synopsis_flat.of_synopsis s.Csdl.Synopsis_store.synopsis in
+  List.map
+    (fun (pred_a, pred_b) ->
+      let pred_a, pred_b =
+        if s.Csdl.Synopsis_store.swapped then (pred_b, pred_a)
+        else (pred_a, pred_b)
+      in
+      Csdl.Estimate.run_flat ~pred_a ~pred_b flat)
+    [
+      (Predicate.True, Predicate.True);
+      ( Predicate.Compare (Predicate.Lt, "attr", Value.Int 9),
+        Predicate.Compare (Predicate.Gt, "attr", Value.Int 0) );
+      (Predicate.Compare (Predicate.Le, "attr", Value.Int 4), Predicate.True);
+    ]
+
+let decode_entry_exn ?(resolve_table = resolve_table) image key =
+  match Csdl.Synopsis_store.decode_entry ~resolve_table ~key image with
+  | Ok s -> s
+  | Error e ->
+      Alcotest.failf "decode_entry %s: %s" key (Csdl.Fault.error_to_string e)
+
+let test_read_entry_matches_read () =
+  List.iter
+    (fun shards ->
+      let image = multi_entry_image ~shards in
+      let all =
+        match Csdl.Synopsis_store.decode ~resolve_table image with
+        | Ok all -> all
+        | Error e -> Alcotest.failf "decode: %s" (Csdl.Fault.error_to_string e)
+      in
+      List.iter
+        (fun (key, _) ->
+          let whole =
+            List.find (fun (s : Csdl.Synopsis_store.stored) -> s.key = key) all
+          in
+          let one = decode_entry_exn image key in
+          Alcotest.(check string)
+            (Printf.sprintf "%s at %d shards: same entry" key shards)
+            (Csdl.Synopsis_store.encode [ whole ])
+            (Csdl.Synopsis_store.encode [ one ]);
+          List.iter2
+            (fun w o ->
+              if w <> o then
+                Alcotest.failf "%s at %d shards: %h from read, %h from \
+                                read_entry" key shards w o)
+            (flat_estimates whole) (flat_estimates one))
+        entry_keys;
+      (* and through a file *)
+      let path = Filename.temp_file "repro" ".synopses" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc image;
+          close_out oc;
+          match
+            Csdl.Synopsis_store.read_entry ~resolve_table ~path ~key:"pk-fk"
+          with
+          | Ok s -> Alcotest.(check string) "file read" "pk-fk" s.key
+          | Error e ->
+              Alcotest.failf "read_entry: %s" (Csdl.Fault.error_to_string e)))
+    [ 1; 4 ]
+
+let test_read_entry_resolves_only_its_tables () =
+  let image = multi_entry_image ~shards:4 in
+  List.iter
+    (fun (key, names) ->
+      let calls = ref [] in
+      let counting name =
+        calls := name :: !calls;
+        resolve_table name
+      in
+      ignore (decode_entry_exn ~resolve_table:counting image key);
+      Alcotest.(check (list string))
+        (key ^ ": resolver saw its own tables, once each")
+        names
+        (List.sort compare !calls))
+    entry_keys
+
+let test_read_entry_absent_key () =
+  let image = multi_entry_image ~shards:1 in
+  match Csdl.Synopsis_store.decode_entry ~resolve_table ~key:"nope" image with
+  | Error (Csdl.Fault.Store_mismatch { what; _ }) ->
+      Alcotest.(check string) "typed key fault" "key" what
+  | Error e -> Alcotest.failf "unexpected: %s" (Csdl.Fault.error_to_string e)
+  | Ok _ -> Alcotest.fail "absent key decoded"
+
+let test_read_entry_ignores_other_entries_tables () =
+  let image = multi_entry_image ~shards:4 in
+  let missing_fk = function
+    | "fk" -> raise Not_found
+    | name -> resolve_table name
+  in
+  ignore (decode_entry_exn ~resolve_table:missing_fk image "a-b");
+  (match Csdl.Synopsis_store.decode ~resolve_table:missing_fk image with
+  | Error (Csdl.Fault.Store_mismatch { what = "table"; _ }) -> ()
+  | Error e ->
+      Alcotest.failf "read: unexpected %s" (Csdl.Fault.error_to_string e)
+  | Ok _ -> Alcotest.fail "read must still fail on an unresolvable table");
+  (* the entry's own tables are still checked *)
+  match
+    Csdl.Synopsis_store.decode_entry ~resolve_table:missing_fk ~key:"pk-fk"
+      image
+  with
+  | Error (Csdl.Fault.Store_mismatch { what = "table"; _ }) -> ()
+  | Error e ->
+      Alcotest.failf "pk-fk: unexpected %s" (Csdl.Fault.error_to_string e)
+  | Ok _ -> Alcotest.fail "pk-fk decoded without its fk table"
+
+(* Re-seal a payload under a valid header, so corruption below the outer
+   checksum reaches the per-segment and structural checks. *)
+let fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code c)))
+          0x100000001b3L)
+    s;
+  !h
+
+let reseal payload =
+  let buf = Buffer.create (String.length payload + 40) in
+  Buffer.add_string buf "reprosyn";
+  Buffer.add_int64_le buf (Int64.of_int Csdl.Synopsis_store.version);
+  Buffer.add_int64_le buf Csdl.Synopsis_store.schema_hash;
+  Buffer.add_int64_le buf (Int64.of_int (String.length payload));
+  Buffer.add_int64_le buf (fnv64 payload);
+  Buffer.add_string buf payload;
+  Buffer.contents buf
+
+let flip image pos =
+  let b = Bytes.of_string image in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+  Bytes.to_string b
+
+let test_read_entry_rejects_corruption () =
+  let image = multi_entry_image ~shards:4 in
+  let payload = String.sub image 40 (String.length image - 40) in
+  let expect what region result =
+    match result with
+    | Error (Csdl.Fault.Store_mismatch { what = w; _ }) ->
+        Alcotest.(check string) region what w
+    | Error e ->
+        Alcotest.failf "%s: unexpected %s" region
+          (Csdl.Fault.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: corrupted image decoded" region
+  in
+  let decode_first image =
+    Csdl.Synopsis_store.decode_entry ~resolve_table ~key:"a-a" image
+  in
+  (* header fields *)
+  List.iter
+    (fun (pos, what) ->
+      expect what
+        ("header byte " ^ string_of_int pos)
+        (decode_first (flip image pos)))
+    [
+      (0, "magic");
+      (8, "version");
+      (16, "schema-hash");
+      (24, "payload");
+      (32, "checksum");
+    ];
+  (* a payload byte under the outer checksum *)
+  expect "checksum" "payload byte" (decode_first (flip image 60));
+  (* another entry's shard segment, re-sealed so only the segment's own
+     checksum can catch it: the byte 9 from the end lies in the last
+     entry's (pk-fk) last segment, just before its n_prime *)
+  expect "shard segment" "other entry's segment"
+    (decode_first (reseal (flip payload (String.length payload - 9))));
+  (* payload tail: truncated, truncated and re-sealed, trailing bytes *)
+  expect "payload" "truncated file"
+    (decode_first (String.sub image 0 (String.length image - 3)));
+  expect "payload" "truncated payload"
+    (decode_first (reseal (String.sub payload 0 (String.length payload - 3))));
+  expect "payload" "trailing bytes" (decode_first (reseal (payload ^ "\000")));
+  (* every single-bit flip anywhere, re-sealed or not: a typed result,
+     never an exception *)
+  for pos = 0 to String.length payload - 1 do
+    List.iter
+      (fun image ->
+        List.iter
+          (fun (key, _) ->
+            match
+              Csdl.Synopsis_store.decode_entry ~resolve_table ~key image
+            with
+            | Ok _ | Error (Csdl.Fault.Store_mismatch _) -> ()
+            | Error e ->
+                Alcotest.failf "flip at %d, %s: %s" pos key
+                  (Csdl.Fault.error_to_string e)
+            | exception exn ->
+                Alcotest.failf "flip at %d, %s raised %s" pos key
+                  (Printexc.to_string exn))
+          entry_keys)
+      [ flip image (40 + pos); reseal (flip payload pos) ]
+  done
+
 (* ---------------- LRU synopsis cache ---------------- *)
 
 let cache_key i =
@@ -645,6 +947,20 @@ let () =
             test_save_leaves_no_temp_files;
           Alcotest.test_case "save into missing directory" `Quick
             test_save_into_missing_directory_raises;
+          Alcotest.test_case "rejects out-of-range rows" `Quick
+            test_rejects_out_of_range_rows;
+        ] );
+      ( "read_entry",
+        [
+          Alcotest.test_case "matches read, shards 1 and 4" `Quick
+            test_read_entry_matches_read;
+          Alcotest.test_case "resolves only its tables" `Quick
+            test_read_entry_resolves_only_its_tables;
+          Alcotest.test_case "absent key" `Quick test_read_entry_absent_key;
+          Alcotest.test_case "other entries' tables unresolved" `Quick
+            test_read_entry_ignores_other_entries_tables;
+          Alcotest.test_case "corruption is typed, never raised" `Quick
+            test_read_entry_rejects_corruption;
         ] );
       ( "cache",
         [
