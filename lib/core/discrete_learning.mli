@@ -15,14 +15,27 @@
     Adaptations relative to the literal algorithm (see DESIGN.md): the
     probability grid is linear in steps of [1/n^2] only up to a fixed number
     of points and geometrically spaced (ratio 1.05) beyond, bounding the LP
-    size for large samples. *)
+    size for large samples.
+
+    The kernel keeps a learn off the major heap: the grid lives in a
+    per-domain buffer reused across learns, the Poisson design rows are
+    written straight into {!Repro_lp.L1_fit.fit_with}'s reused tableau,
+    and a count class's reweighted median is one
+    {!Repro_util.Weighted.scaled_median} pass over the histogram, its
+    Poisson factors computed from [n x] and [log (n x)] tables built once
+    per learn. Every float it
+    produces is bit-identical to the straightforward formulation (the same
+    grid sequence, [exp (k log lambda - lambda - log k!)] design, row and
+    pivot order, and ascending-order median sums); the test suite holds it
+    to a verbatim reference copy of that formulation. *)
 
 type config = {
   d : float;  (** the paper's D; experiments use 0.08 *)
   e : float;  (** the paper's E; experiments use 0.05; needs D/2 < E < D *)
   linear_grid_points : int;  (** grid points at spacing 1/n^2 before the
                                  geometric regime (default 400) *)
-  geometric_ratio : float;  (** spacing ratio of the geometric regime *)
+  geometric_ratio : float;
+      (** spacing ratio of the geometric regime; must be finite and [> 1] *)
 }
 
 val default_config : config
@@ -36,7 +49,9 @@ val learn : ?obs:Repro_obs.Obs.ctx -> ?config:config -> float array -> t
     entries ignored). The sample size is [sum counts]. An all-zero input
     yields a degenerate result whose probabilities are all 0, and an LP
     failure falls back to the empirical shape — use {!learn_checked} when
-    those conditions should be reported instead of absorbed. A live [obs]
+    those conditions should be reported instead of absorbed. Raises
+    [Invalid_argument] on an invalid config (D/E out of order, or a
+    [geometric_ratio] that is not a finite number [> 1]). A live [obs]
     context wraps the run in a [dl.learn] span, records the virtual sample
     size ([dl.virtual_sample.size]), counts absorbed LP failures
     ([dl.lp.failures]) and forwards to the LP-layer metrics. *)

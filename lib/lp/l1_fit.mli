@@ -5,7 +5,9 @@
     linear equality [mass_coefficients . r = mass].
 
     The absolute values are linearised with one auxiliary variable per
-    residual and the whole thing handed to {!Simplex}. *)
+    residual, and the rows (mass, then upper [i] and lower [i] per
+    observation) are written straight into {!Simplex.solve_with}'s reused
+    tableau. *)
 
 type spec = {
   design : float array array;
@@ -40,3 +42,22 @@ val fit : ?obs:Repro_obs.Obs.ctx -> spec -> (outcome, error) Stdlib.result
     target entries surface as [Error (Aborted _)]. A live [obs] context
     records the attained residual ([lp.l1.residual] histogram) on top of
     the underlying {!Simplex.solve} metrics. *)
+
+val fit_with :
+  ?obs:Repro_obs.Obs.ctx ->
+  columns:int ->
+  design:(int -> float array -> int -> unit) ->
+  target:float array ->
+  mass_coefficients:float array ->
+  mass:float ->
+  ((outcome, error) Stdlib.result -> 'a) ->
+  'a
+(** The allocation-free form of {!fit}, for a hot path that keeps its
+    design rows out of the heap: [columns] is [n],
+    [mass_coefficients.(0)..(n-1)] are the mass coefficients (the array may
+    be longer) and [design i tab off] writes design row [i] into
+    [tab.(off)..tab.(off+n-1)]. The result, identical to {!fit}'s on the
+    same rows, goes to the continuation; there an [outcome]'s [weights] is
+    the solver's reused buffer, of which only the first [n] cells are the
+    weights, valid only until the continuation returns. Raises
+    [Invalid_argument] when [mass_coefficients] is shorter than [n]. *)

@@ -1,0 +1,25 @@
+(** Per-domain reusable buffers.
+
+    A hot path that needs large working arrays (the simplex tableau, the
+    discrete-learning grid) takes them from a slot owned by the calling
+    domain instead of allocating them per call: arrays above 256 words
+    bypass OCaml's minor heap, so allocating them on every query feeds the
+    major GC. Each domain gets its own buffer, so domains never share one. *)
+
+type 'a t
+
+val make : (unit -> 'a) -> 'a t
+(** [make create] declares a slot; [create] builds a domain's buffer the
+    first time that domain asks for one. *)
+
+val with_ : 'a t -> ('a -> 'b) -> 'b
+(** [with_ slot f] runs [f] on the calling domain's buffer. The buffer is
+    taken with [Atomic.exchange], so a second systhread of the same domain
+    asking meanwhile gets a fresh buffer rather than sharing it; the buffer
+    goes back into the slot when [f] returns or raises. [f] must not let
+    the buffer escape. *)
+
+val grow : 'a array -> int -> 'a -> 'a array
+(** [grow a len fill] is [a] when it holds at least [len] cells, else a new
+    array of at least [len] cells (doubling, so repeated growth is
+    amortised) holding [a]'s cells followed by [fill]. *)

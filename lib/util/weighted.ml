@@ -42,15 +42,37 @@ let reweight f t =
   done;
   of_entries !pairs
 
+(* The weighted-median rule: the first of [t.values] whose prefix sum of
+   positive [weights] reaches half of [total], else the one at [last] (the
+   last entry of positive weight). Entries of other weight are skipped. *)
+let median_of t weights ~total ~last =
+  let half = total /. 2.0 in
+  let acc = ref 0.0 and i = ref 0 and found = ref (-1) in
+  while !found < 0 do
+    let w = weights.(!i) in
+    if w > 0.0 then begin
+      acc := !acc +. w;
+      if !acc >= half || !i = last then found := !i
+    end;
+    incr i
+  done;
+  t.values.(!found)
+
 let median t =
   if is_empty t then invalid_arg "Weighted.median: empty multiset";
-  let half = t.total /. 2.0 in
-  let n = Array.length t.values in
-  let rec scan i acc =
-    let acc = acc +. t.weights.(i) in
-    if acc >= half || i = n - 1 then t.values.(i) else scan (i + 1) acc
-  in
-  scan 0 0.0
+  median_of t t.weights ~total:t.total ~last:(size t - 1)
+
+let scaled_median ~factors ~empty t =
+  let total = ref 0.0 and last = ref (-1) in
+  for i = 0 to size t - 1 do
+    let w = t.weights.(i) *. factors.(i) in
+    factors.(i) <- w;
+    if w > 0.0 then begin
+      total := !total +. w;
+      last := i
+    end
+  done;
+  if !last < 0 then empty else median_of t factors ~total:!total ~last:!last
 
 let fold f t init =
   let acc = ref init in

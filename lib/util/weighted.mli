@@ -31,6 +31,16 @@ val median : t -> float
     [<= m] is at least half the total. Raises [Invalid_argument] on an empty
     multiset. *)
 
+val scaled_median : factors:float array -> empty:float -> t -> float
+(** [scaled_median ~factors ~empty t] is [median (reweight f t)], where [f]
+    multiplies the weight of the [i]-th entry (in increasing value order)
+    by [factors.(i)], or [empty] when no entry keeps a positive weight. It
+    makes one pass without building the reweighted multiset, and when
+    [t]'s values are distinct it matches that formula bit for bit: the
+    same entries are kept and the weights are summed in the same ascending
+    order. [factors] must hold at least [size t] cells; it is overwritten
+    with the scaled weights. *)
+
 val fold : (float -> float -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold f t init] folds [f value weight] over entries in increasing value
     order. *)

@@ -40,6 +40,25 @@ let test_config_validation () =
            ~config:{ DL.default_config with d = 0.05; e = 0.08 }
            [| 1.0 |]))
 
+let test_geometric_ratio_validation () =
+  (* A ratio <= 1 or NaN never carries the geometric grid past x_max, so
+     it is rejected up front instead of looping forever: 1000 unit counts
+     need more than the 400 linear points to reach x_max. *)
+  let counts = Array.make 1000 1.0 in
+  List.iter
+    (fun ratio ->
+      let config = { DL.default_config with geometric_ratio = ratio } in
+      (match DL.learn_checked ~config counts with
+      | Error (Csdl.Fault.Bad_input _) -> ()
+      | Error e ->
+          Alcotest.failf "ratio %g: wrong fault %s" ratio
+            (Csdl.Fault.error_to_string e)
+      | Ok _ -> Alcotest.failf "learn_checked accepted ratio %g" ratio);
+      match DL.learn ~config counts with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "learn accepted ratio %g" ratio)
+    [ 1.0; 0.9; Float.nan; Float.infinity ]
+
 let test_heavy_counts_use_empirical () =
   (* A value appearing more often than ln^2 n gets probability j/n. *)
   let counts = Array.append [| 500.0 |] (Array.make 500 1.0) in
@@ -189,6 +208,8 @@ let () =
           Alcotest.test_case "sample size" `Quick test_sample_size;
           Alcotest.test_case "nonpositive count" `Quick test_probability_of_nonpositive_count;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "geometric ratio validation" `Quick
+            test_geometric_ratio_validation;
           Alcotest.test_case "fractional counts" `Quick test_fractional_counts_accepted;
           Alcotest.test_case "memoisation" `Quick test_probability_memoised_consistent;
           Alcotest.test_case "single value" `Quick test_single_value_sample;
