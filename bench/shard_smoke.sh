@@ -9,7 +9,10 @@
 # (4) the sharded build to emit a "synopsis-build" provenance record, and
 # (5) the same delta-vs-rebuild store byte identity for a graph the
 #     estimator stores swapped (key side on the left), whose maintained
-#     store must also answer `synopsis-estimate`.
+#     store must also answer `synopsis-estimate`, and
+# (6) a CSV that cannot be read (unterminated quote, missing file,
+#     duplicate header) to fail the build with exit 1 and an
+#     `error: PATH: REASON` line, writing no store.
 # Run from the bench build directory by the @shard-smoke alias; on a cmp
 # failure the shard-*.txt outputs are what CI uploads as the diff.
 set -eu
@@ -165,5 +168,25 @@ $CLI synopsis-build "p=shard-pdelta-pk.csv:k,shard-pdelta-fk.csv:k" \
 cmp shard-syn-p.bin shard-syn-pfresh.bin
 $CLI synopsis-estimate p --store shard-syn-pfresh.bin > shard-pfresh-estimate.txt
 cmp shard-p-estimate.txt shard-pfresh-estimate.txt
+
+# ---- phase 4: a bad CSV is a user error, not an internal one ----
+
+printf 'k,attr\n1,2\n"3,4\n' > shard-badquote.csv
+printf 'k,k\n1,2\n' > shard-duphead.csv
+rm -f shard-missing.csv shard-syn-bad.bin
+
+# bad_csv FILE REASON: synopsis-build over FILE exits 1 and names FILE
+# and REASON on stderr
+bad_csv() {
+  status=0
+  $CLI synopsis-build "g=$1:k,shard-right.csv:k" --theta 0.5 \
+    --store shard-syn-bad.bin > /dev/null 2> shard-bad.txt || status=$?
+  test "$status" -eq 1
+  grep -q "^error: $1: .*$2" shard-bad.txt
+}
+bad_csv shard-badquote.csv 'line 3: unterminated quote in field 1'
+bad_csv shard-missing.csv 'No such file'
+bad_csv shard-duphead.csv 'duplicate column "k"'
+test ! -e shard-syn-bad.bin
 
 echo "shard smoke passed"

@@ -22,6 +22,16 @@ let ensure_directory path =
   else if not (Sys.is_directory path) then
     failwith (path ^ " exists and is not a directory")
 
+(* A CSV named on the command line is user input: a missing file, a
+   malformed record or a duplicate header ends the command with the path
+   and the reason and exit 1, as a store fault does. *)
+let read_csv path =
+  match Csv_io.read_auto path with
+  | table -> table
+  | exception (Sys_error reason | Failure reason | Invalid_argument reason) ->
+      Printf.eprintf "error: %s: %s\n" path reason;
+      exit 1
+
 let write_table directory name table =
   let path = Filename.concat directory (name ^ ".csv") in
   Csv_io.write path table;
@@ -91,7 +101,7 @@ let column_arg =
     & info [ "column" ] ~docv:"NAME" ~doc:"Column to profile.")
 
 let inspect file column =
-  let table = Csv_io.read_auto file in
+  let table = read_csv file in
   Format.printf "%a@." (Table.pp_head ~limit:5) table;
   match column with
   | None -> ()
@@ -278,7 +288,7 @@ let estimate left left_col right right_col theta approach runs exact guarded
     | Some file -> Obs.create ~sink:(Repro_obs.Trace.file file) ()
   in
   Obs.count obs "estimate.downgrades.total" 0;
-  let table_a = Csv_io.read_auto left and table_b = Csv_io.read_auto right in
+  let table_a = read_csv left and table_b = read_csv right in
   let profile = Csdl.Profile.of_tables table_a left_col table_b right_col in
   Printf.printf "|A| = %d, |B| = %d, shared join values = %d, jvd = %.6f\n"
     profile.Csdl.Profile.a.Csdl.Profile.cardinality
@@ -634,7 +644,7 @@ let synopsis_build graphs theta store seed shards jobs bench_json =
     match Hashtbl.find_opt parsed path with
     | Some table -> table
     | None ->
-        let table = Csv_io.read_auto path in
+        let table = read_csv path in
         Hashtbl.replace parsed path table;
         table
   in
@@ -821,7 +831,7 @@ let read_inserts what schema path_opt =
   match path_opt with
   | None -> [||]
   | Some path ->
-      let t = Csv_io.read_auto path in
+      let t = read_csv path in
       if not (Schema.equal (Table.schema t) schema) then begin
         Printf.eprintf
           "error: %s: schema of %s does not match the stored table's\n" what

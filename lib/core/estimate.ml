@@ -48,7 +48,7 @@ let col_index schema name =
    columns compare exactly against Int constants; every mixed-type case
    goes through the same [Value.compare] ladder as the row path. *)
 let rec compile_positions (side : Flat.side) p =
-  let schema = Table.schema side.Flat.table in
+  let schema = side.Flat.schema in
   match p with
   | Predicate.True -> fun (_ : int) -> true
   | Predicate.False -> fun _ -> false
@@ -197,7 +197,7 @@ let scaling_estimate (flat : Flat.t) ~sentry_spec (fa : filtered_side)
 
 let dl_estimate ~learn ~virtual_sample (flat : Flat.t) ~sentry_spec
     (fa : filtered_side) (fb : filtered_side) =
-  let { Synopsis.resolved; sample_a; n_prime; _ } = flat.Flat.syn in
+  let { Flat.resolved; n_prime; _ } = flat in
   let base_q = resolved.Budget.base_q in
   (* Ablation hook: without the Eq. 6 virtual sample, raw counts feed the
      learner directly (count ratio forced to 1). *)
@@ -216,7 +216,7 @@ let dl_estimate ~learn ~virtual_sample (flat : Flat.t) ~sentry_spec
         virtual_counts := virtual_count :: !virtual_counts
     end
   done;
-  let total_tuples = Sample.total_tuples sample_a in
+  let total_tuples = flat.Flat.tuples_a in
   if total_tuples = 0 then (0.0, 0, 0.0, 0.0)
   else begin
     let selectivity =
@@ -231,7 +231,7 @@ let dl_estimate ~learn ~virtual_sample (flat : Flat.t) ~sentry_spec
        contributing value at theta = 1). *)
     let virtual_population =
       if sentry_spec then
-        Float.max 0.0 (n_prime -. float_of_int (Sample.sentry_count sample_a))
+        Float.max 0.0 (n_prime -. float_of_int flat.Flat.sentries_a)
       else n_prime
     in
     let n_filtered = virtual_population *. selectivity in
@@ -273,7 +273,7 @@ let method_label = function
    (legacy path) and the checked one (recording its fault in a ref). *)
 let breakdown_with ?(obs = Obs.null) ~learn ~virtual_sample ~pred_a ~pred_b
     (flat : Flat.t) =
-  let resolved = flat.Flat.syn.Synopsis.resolved in
+  let resolved = flat.Flat.resolved in
   let meth = method_label resolved.Budget.spec.Spec.method_ in
   Obs.Span.with_ obs ~name:"estimate.run" ~attrs:[ ("method", meth) ]
   @@ fun () ->
@@ -287,7 +287,7 @@ let breakdown_with ?(obs = Obs.null) ~learn ~virtual_sample ~pred_a ~pred_b
      measured zero — the failure mode behind the paper's infinite q-errors
      on selective predicates. Flag it so callers can tell the two apart. *)
   let degenerate =
-    Sample.total_tuples flat.Flat.syn.Synopsis.sample_a = 0
+    flat.Flat.tuples_a = 0
     || filtered_a_tuples = 0 || filtered_b_tuples = 0
   in
   if degenerate then Obs.count obs "estimate.degenerate" 1;
@@ -297,7 +297,7 @@ let breakdown_with ?(obs = Obs.null) ~learn ~virtual_sample ~pred_a ~pred_b
         scaling_estimate flat ~sentry_spec fa fb
       in
       let selectivity_a =
-        let total = Sample.total_tuples flat.Flat.syn.Synopsis.sample_a in
+        let total = flat.Flat.tuples_a in
         if total = 0 then 0.0
         else float_of_int filtered_a_tuples /. float_of_int total
       in

@@ -8,7 +8,7 @@ type column =
   | Boxed of Value.t array
 
 type side = {
-  table : Table.t;
+  schema : Schema.t;
   column : string;
   values : Value.t array;
   row_off : int array;
@@ -21,7 +21,10 @@ type side = {
 }
 
 type t = {
-  syn : Synopsis.t;
+  resolved : Budget.t;
+  n_prime : float;
+  tuples_a : int;
+  sentries_a : int;
   a : side;
   b : side;
   b_to_a : int array;
@@ -125,7 +128,7 @@ let side_of_sample (sample : Sample.t) =
     else Boxed col
   in
   {
-    table;
+    schema = Table.schema table;
     column = sample.Sample.column;
     values;
     row_off;
@@ -201,7 +204,17 @@ let assemble (syn : Synopsis.t) ~a ~b =
       if c <> 0 then c else Int.compare i j)
     sorted_a;
   let verdict = validate syn ~a ~b ~b_to_a in
-  { syn; a; b; b_to_a; sorted_a; verdict }
+  {
+    resolved = syn.Synopsis.resolved;
+    n_prime = syn.Synopsis.n_prime;
+    tuples_a = Sample.total_tuples syn.Synopsis.sample_a;
+    sentries_a = Sample.sentry_count syn.Synopsis.sample_a;
+    a;
+    b;
+    b_to_a;
+    sorted_a;
+    verdict;
+  }
 
 let of_synopsis (syn : Synopsis.t) =
   assemble syn
@@ -326,7 +339,7 @@ let concat_sides (sides : side array) =
       end
     in
     {
-      table = sides.(0).table;
+      schema = sides.(0).schema;
       column = sides.(0).column;
       values;
       row_off;

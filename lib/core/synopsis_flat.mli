@@ -16,6 +16,12 @@
     - the memoized validation verdict of the synopsis, so checked
       estimation validates once per load instead of once per query.
 
+    A flat view holds only what an estimate reads: the sampled tuples
+    (materialized), each side's schema and the synopsis' scalars. It keeps
+    no reference to the base tables or to the {!Sample} hashtables it was
+    built from, so once a loader drops those, a cached flat costs the
+    synopsis and nothing more.
+
     {b Scan order is load-bearing.} The positional order of [values] is
     the canonical shard-hash order ({!Shard_key.compare}) — estimates
     accumulate floats in scan order, and the byte-compare harnesses pin
@@ -41,7 +47,8 @@ type column =
   | Boxed of Value.t array
 
 type side = {
-  table : Table.t;
+  schema : Schema.t;
+      (** the base table's schema: predicates name columns through it *)
   column : string;
   values : Value.t array;
       (** join values, positionally, in sample-hashtable iteration order *)
@@ -64,7 +71,12 @@ type side = {
 }
 
 type t = {
-  syn : Synopsis.t;  (** the source synopsis (rates, [N'], counts) *)
+  resolved : Budget.t;  (** the source synopsis' resolved budget and rates *)
+  n_prime : float;  (** the source synopsis' [N'] *)
+  tuples_a : int;
+      (** sampled tuples of the first side, sentries included
+          ({!Sample.total_tuples}) *)
+  sentries_a : int;  (** {!Sample.sentry_count} of the first side *)
   a : side;
   b : side;
   b_to_a : int array;

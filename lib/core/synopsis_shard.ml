@@ -221,11 +221,11 @@ let remap_entry remap (e : Sample.entry) =
   }
 
 (* A clean shard's cached flat slice survives a delta untouched except for
-   two details: raw row indices shift under compaction, and the [table]
-   field must point at the post-delta table. Positions, rates, offsets and
-   the materialized tuple columns are unchanged — no value in a clean
-   shard was re-drawn, and survivors keep their relative order. *)
-let remap_flat_side remap table (s : Synopsis_flat.side) =
+   its raw row indices, which shift under compaction. Positions, rates,
+   offsets, the schema and the materialized tuple columns are unchanged —
+   no value in a clean shard was re-drawn, survivors keep their relative
+   order, and a delta never changes a table's schema. *)
+let remap_flat_side remap (s : Synopsis_flat.side) =
   let rows = s.Synopsis_flat.rows in
   for j = 0 to Bigarray.Array1.dim rows - 1 do
     let i = remap.(Bigarray.Array1.unsafe_get rows j) in
@@ -239,8 +239,7 @@ let remap_flat_side remap table (s : Synopsis_flat.side) =
         assert (remap.(i) >= 0);
         sentry.(j) <- remap.(i)
       end)
-    sentry;
-  { s with Synopsis_flat.table }
+    sentry
 
 let apply_delta t (d : delta) =
   let old_profile = t.profile and old_resolved = t.resolved in
@@ -387,17 +386,8 @@ let apply_delta t (d : delta) =
         match sh.flat with
         | None -> ()
         | Some (sa, sb) ->
-            let sa =
-              if Array.length d.a.deletes > 0 then
-                remap_flat_side remap_a table_a sa
-              else { sa with Synopsis_flat.table = table_a }
-            in
-            let sb =
-              if Array.length d.b.deletes > 0 then
-                remap_flat_side remap_b table_b sb
-              else { sb with Synopsis_flat.table = table_b }
-            in
-            sh.flat <- Some (sa, sb))
+            if Array.length d.a.deletes > 0 then remap_flat_side remap_a sa;
+            if Array.length d.b.deletes > 0 then remap_flat_side remap_b sb)
     t.shards;
   t.profile <- profile;
   t.resolved <- resolved;

@@ -21,13 +21,19 @@ let version = 3
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let fnv_string_from h s =
-  let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+(* One unboxed loop over [s.[pos] .. s.[pos + len - 1]], in place: no
+   copy of the range, no boxed step. *)
+let checksum s pos len =
+  let h = ref fnv_offset in
+  for i = pos to pos + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
+
+let checksum_string s = checksum s 0 (String.length s)
 
 (* The layout descriptor names every field of the payload in order. Any
    change to the wire layout must edit this string, which changes the
@@ -44,7 +50,7 @@ let layout =
    rate = const|scaled|blended[c light (value weight)*]; \
    ints i64le, floats f64 bits, strings length-prefixed"
 
-let schema_hash = fnv_string_from fnv_offset layout
+let schema_hash = checksum_string layout
 
 (* ---------------- encoder ---------------- *)
 
@@ -165,7 +171,7 @@ let add_sample ~shards buf (s : Sample.t) =
       add_entries seg bindings;
       let bytes = Buffer.contents seg in
       add_int buf (String.length bytes);
-      add_i64 buf (fnv_string_from fnv_offset bytes);
+      add_i64 buf (checksum_string bytes);
       Buffer.add_string buf bytes)
     segments
 
@@ -205,7 +211,7 @@ let encode entries =
   add_int buf version;
   add_i64 buf schema_hash;
   add_int buf (String.length payload);
-  add_i64 buf (fnv_string_from fnv_offset payload);
+  add_i64 buf (checksum_string payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
 
@@ -215,17 +221,24 @@ exception Fail of Fault.error
 
 let fail what detail = raise (Fail (Fault.Store_mismatch { what; detail }))
 
-type reader = { data : string; mutable pos : int }
+(* A reader over the range [base, base + len) of [data]: the payload or
+   one shard segment, read in place. [pos] counts from [base], so every
+   position and length a fault reports is relative to its range. *)
+type reader = { data : string; base : int; len : int; mutable pos : int }
 
+let reader data ~base ~len = { data; base; len; pos = 0 }
+let left r = r.len - r.pos
+
+(* [n > left r], not [r.pos + n > r.len]: a corrupted length near
+   [max_int] must not wrap past the check *)
 let need r n =
-  if n < 0 || r.pos + n > String.length r.data then
+  if n < 0 || n > left r then
     fail "payload"
-      (Printf.sprintf "truncated at byte %d (need %d of %d)" r.pos n
-         (String.length r.data))
+      (Printf.sprintf "truncated at byte %d (need %d of %d)" r.pos n r.len)
 
 let get_u8 r =
   need r 1;
-  let b = Char.code r.data.[r.pos] in
+  let b = Char.code r.data.[r.base + r.pos] in
   r.pos <- r.pos + 1;
   b
 
@@ -233,7 +246,7 @@ let get_bool r = get_u8 r <> 0
 
 let get_i64 r =
   need r 8;
-  let x = String.get_int64_le r.data r.pos in
+  let x = String.get_int64_le r.data (r.base + r.pos) in
   r.pos <- r.pos + 8;
   x
 
@@ -253,7 +266,7 @@ let get_f64 r = Int64.float_of_bits (get_i64 r)
 let get_str r =
   let n = get_count r "string" in
   need r n;
-  let s = String.sub r.data r.pos n in
+  let s = String.sub r.data (r.base + r.pos) n in
   r.pos <- r.pos + n;
   s
 
@@ -311,7 +324,7 @@ let get_rate r =
       let n = get_count r "heavy-hitter" in
       (* each binding takes at least 9 bytes; bounding [n] first keeps a
          corrupted count from sizing a huge table *)
-      need r (min n (String.length r.data) * 9);
+      need r (min n r.len * 9);
       let heavy = Value.Tbl.create (max 16 n) in
       for _ = 1 to n do
         let v = get_value r in
@@ -372,7 +385,8 @@ let get_entries r ~table acc =
     let v = get_value r in
     let sentry_row = get_opt (get_row ~cardinality) r in
     let rows_n = get_count r "row" in
-    need r (rows_n * 8);
+    (* compared by division: [rows_n * 8] could wrap past [need] *)
+    if rows_n > left r / 8 then need r (rows_n * 8);
     (* explicit loop: Array.init does not guarantee evaluation order, and
        the reader is stateful *)
     let rows = Array.make (if keep then rows_n else 0) 0 in
@@ -400,18 +414,17 @@ let get_sample r ~shards ~table =
   for k = 0 to shards - 1 do
     let seg_len = get_count r "shard segment byte" in
     let recorded = get_i64 r in
-    if r.pos + seg_len > String.length r.data then
+    if seg_len > left r then
       fail "shard segment"
         (Printf.sprintf "shard %d truncated at byte %d (need %d of %d)" k r.pos
-           seg_len (String.length r.data));
-    let bytes = String.sub r.data r.pos seg_len in
+           seg_len r.len);
+    let sr = reader r.data ~base:(r.base + r.pos) ~len:seg_len in
     r.pos <- r.pos + seg_len;
-    let actual = fnv_string_from fnv_offset bytes in
+    let actual = checksum r.data sr.base seg_len in
     if actual <> recorded then
       fail "shard segment"
         (Printf.sprintf "shard %d: recorded checksum %Lx, segment hashes to %Lx"
            k recorded actual);
-    let sr = { data = bytes; pos = 0 } in
     bindings := get_entries sr ~table !bindings;
     if sr.pos <> seg_len then
       fail "shard segment"
@@ -431,37 +444,48 @@ let get_sample r ~shards ~table =
       { Sample.table; column; entries; tuple_count; sentries })
     table
 
-(* Resolve and fingerprint-check an entry's two tables; a self-join
-   resolves its one table once. *)
-let resolve_tables ~resolve_table ~table_a ~table_b ~fingerprint_a
-    ~fingerprint_b =
-  let resolve name =
-    match resolve_table name with
-    | table -> table
-    | exception exn ->
-        fail "table"
-          (Printf.sprintf "cannot resolve %S: %s" name (Printexc.to_string exn))
-  in
+(* Within one decode each distinct table is resolved and fingerprinted
+   once, however many entries name it: the entries of a store share their
+   base tables, and tables are never mutated. A resolver failure is not
+   remembered; it fails the decode. *)
+let memo_resolver resolve_table =
+  let seen = Hashtbl.create 8 in
+  fun name ->
+    match Hashtbl.find_opt seen name with
+    | Some resolved -> resolved
+    | None ->
+        let table =
+          match resolve_table name with
+          | table -> table
+          | exception exn ->
+              fail "table"
+                (Printf.sprintf "cannot resolve %S: %s" name
+                   (Printexc.to_string exn))
+        in
+        let resolved = (table, Table.fingerprint table) in
+        Hashtbl.replace seen name resolved;
+        resolved
+
+(* Resolve an entry's two tables, then check each against the entry's
+   own recorded fingerprint. *)
+let resolve_tables ~resolve ~table_a ~table_b ~fingerprint_a ~fingerprint_b =
   let resolved_a = resolve table_a in
-  let resolved_b =
-    if String.equal table_b table_a then resolved_a else resolve table_b
-  in
-  let check name table recorded =
-    let actual = Table.fingerprint table in
+  let resolved_b = resolve table_b in
+  let check name (table, actual) recorded =
     if actual <> recorded then
       fail "fingerprint"
         (Printf.sprintf "table %S: recorded %Lx, resolved data hashes to %Lx"
-           name recorded actual)
+           name recorded actual);
+    table
   in
-  check table_a resolved_a fingerprint_a;
-  check table_b resolved_b fingerprint_b;
-  (resolved_a, resolved_b)
+  ( check table_a resolved_a fingerprint_a,
+    check table_b resolved_b fingerprint_b )
 
 (* Parse one entry. Only an entry whose key satisfies [wanted] has its
    tables resolved and its samples built; any other is walked through
    the same readers, so every length, checksum and structural check
    still runs on it. *)
-let get_stored r ~resolve_table ~wanted =
+let get_stored r ~resolve ~wanted =
   let key = get_str r in
   let table_a = get_str r in
   let table_b = get_str r in
@@ -487,7 +511,7 @@ let get_stored r ~resolve_table ~wanted =
     if not (wanted key) then (None, None)
     else
       let resolved_a, resolved_b =
-        resolve_tables ~resolve_table ~table_a ~table_b ~fingerprint_a
+        resolve_tables ~resolve ~table_a ~table_b ~fingerprint_a
           ~fingerprint_b
       in
       if swapped then (Some resolved_b, Some resolved_a)
@@ -518,7 +542,8 @@ let decode_matching ~resolve_table ~wanted data =
   match
     if String.length data < 40 then fail "header" "file shorter than header";
     if String.sub data 0 8 <> magic then fail "magic" "not a synopsis store";
-    let r = { data; pos = 8 } in
+    let r = reader data ~base:0 ~len:(String.length data) in
+    r.pos <- 8;
     let v = get_int r in
     if v <> version then
       fail "version"
@@ -529,26 +554,26 @@ let decode_matching ~resolve_table ~wanted data =
         (Printf.sprintf "file layout %Lx, this library reads %Lx" h schema_hash);
     let payload_length = get_count r "payload byte" in
     let recorded_checksum = get_i64 r in
-    if r.pos + payload_length <> String.length data then
+    if payload_length <> left r then
       fail "payload"
         (Printf.sprintf "payload length %d does not match file size"
            payload_length);
-    let payload = String.sub data r.pos payload_length in
-    let actual = fnv_string_from fnv_offset payload in
+    let actual = checksum data r.pos payload_length in
     if actual <> recorded_checksum then
       fail "checksum"
         (Printf.sprintf "recorded %Lx, payload hashes to %Lx" recorded_checksum
            actual);
-    let pr = { data = payload; pos = 0 } in
+    let pr = reader data ~base:r.pos ~len:payload_length in
+    let resolve = memo_resolver resolve_table in
     let n = get_count pr "entry" in
     let entries = ref [] in
     for _ = 1 to n do
-      match get_stored pr ~resolve_table ~wanted with
+      match get_stored pr ~resolve ~wanted with
       | Some s -> entries := s :: !entries
       | None -> ()
     done;
     let entries = List.rev !entries in
-    if pr.pos <> String.length payload then
+    if pr.pos <> pr.len then
       fail "payload" "trailing bytes after last entry";
     entries
   with

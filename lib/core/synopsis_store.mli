@@ -56,6 +56,12 @@ val version : int
 val schema_hash : int64
 (** FNV-1a hash of the wire-layout descriptor for [version]. *)
 
+val checksum : string -> int -> int -> int64
+(** [checksum s pos len] is the 64-bit FNV-1a hash of the [len] bytes of
+    [s] from [pos] — the checksum the store records for its payload and
+    for each shard segment. The decoder runs it over each range in place,
+    without copying it out. *)
+
 val encode : stored list -> string
 (** Serialize to the full file image (header + payload). *)
 
@@ -67,7 +73,15 @@ val decode :
     drift, checksum mismatch, truncated or malformed payload, resolver
     failure, fingerprint mismatch, a sampled row or sentry index outside
     its resolved table ([what = "row"]) — comes back as
-    [Error (Store_mismatch _)]; this function never raises. *)
+    [Error (Store_mismatch _)]; this function never raises.
+
+    The payload and each shard segment are checksummed and read in place,
+    as ranges of the image; positions in a fault's detail count from the
+    start of the payload or segment. Each distinct table name is passed
+    to [resolve_table] and fingerprinted once per call, however many
+    entries name it, and every entry checks the result against its own
+    recorded fingerprints. The entries therefore share their tables
+    physically, which is sound because a [Table.t] is never mutated. *)
 
 val decode_entry :
   resolve_table:(string -> Table.t) ->

@@ -38,125 +38,234 @@ type row_error = { line : int; reason : string }
 
 type lenient = { table : Table.t; skipped : row_error list; skipped_count : int }
 
-(* Split one CSV record into fields, handling quoted fields. Assumes the
-   record contains no embedded newlines (we never write any: generated data
-   has no newlines in strings). [line_number] is only used to locate
-   errors. *)
-let split_record_checked ~line_number line =
-  let fields = ref [] in
-  let count = ref 0 in
-  let buffer = Buffer.create 32 in
-  let n = String.length line in
-  let rec field i =
-    if i >= n then finish i
-    else if line.[i] = '"' then quoted (i + 1)
-    else plain i
-  and plain i =
-    if i >= n || line.[i] = ',' then finish i
+(* ---------------- the scanner ---------------- *)
+
+(* A domain's load state, reused across reads: the file image, then what
+   one pass over it found — every field's bounds and every record. Each
+   array grows to the largest file the domain has read and never shrinks,
+   so a warm read allocates the table it returns and little else. *)
+type scan = {
+  mutable image : Bytes.t;
+  mutable fields : int array;
+      (** per field: start and length in [image], and its int value when
+          the field reads [-?[0-9]{1,18}], else [min_int] *)
+  mutable records : int array;
+      (** per record: file line, first field, field count — or [-k] when
+          field [k] opens a quote the line never closes *)
+  mutable count : int;  (** the count of the record scanned last *)
+}
+
+let slot =
+  Repro_util.Scratch.make (fun () ->
+      { image = Bytes.create 65536; fields = [||]; records = [||]; count = 0 })
+
+(* The whole file, read to end of file rather than to a length taken up
+   front, so a pipe or a FIFO can be read too. *)
+let load s path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec fill len =
+        if len = Bytes.length s.image then begin
+          let bigger = Bytes.create (2 * len) in
+          Bytes.blit s.image 0 bigger 0 len;
+          s.image <- bigger
+        end;
+        match input ic s.image len (Bytes.length s.image - len) with
+        | 0 -> len
+        | n -> fill (len + n)
+      in
+      fill 0)
+
+let add_field s k start len value =
+  if (3 * k) + 2 >= Array.length s.fields then
+    s.fields <- Repro_util.Scratch.grow s.fields ((3 * k) + 3) 0;
+  s.fields.(3 * k) <- start;
+  s.fields.((3 * k) + 1) <- len;
+  s.fields.((3 * k) + 2) <- value
+
+(* [-?[0-9]{1,18}] is a base-10 int that cannot overflow, so the digits
+   the scanner accumulated ([acc], [-1] once a non-digit was seen) give
+   exactly what [int_of_string] gives. Any other field is [min_int], which
+   has 19 digits and so never comes out of this form: those go to the
+   stdlib. *)
+let plain_value b start stop acc =
+  let neg = stop > start && Bytes.unsafe_get b start = '-' in
+  let digits = stop - start - if neg then 1 else 0 in
+  if acc < 0 || digits < 1 || digits > 18 then min_int
+  else if neg then -acc
+  else acc
+
+let finish s count i len =
+  s.count <- count;
+  if i < len then i + 1 else len
+
+let rec line_end b i len =
+  if i < len && Bytes.unsafe_get b i <> '\n' then line_end b (i + 1) len
+  else i
+
+(* Split the line starting at [b.[i]] into fields [k], [k + 1], ... of
+   [s.fields], set [s.count] to its field count, or to [-j] for an
+   unterminated quote in its field [j], and return where the next line
+   starts. A line ends at '\n' (a '\r' stays in its field). A quoted
+   field is unescaped in place (a doubled quote becomes one), which only
+   ever shortens it; after its closing quote anything but a comma ends the
+   record, dropping the rest of the line. Top-level functions with every
+   bound passed explicitly: no closure is allocated per record. *)
+let rec scan_field s b len first i k =
+  if i >= len then scan_plain s b len first i i k 0
+  else
+    match Bytes.unsafe_get b i with
+    | '"' -> scan_quoted s b len first (i + 1) (i + 1) (i + 1) k
+    | '-' -> scan_plain s b len first i (i + 1) k 0
+    | _ -> scan_plain s b len first i i k 0
+
+and scan_plain s b len first start i k acc =
+  let c = if i < len then Bytes.unsafe_get b i else '\n' in
+  if c <> ',' && c <> '\n' then
+    scan_plain s b len first start (i + 1) k
+      (if acc >= 0 && c >= '0' && c <= '9' then (10 * acc) + Char.code c - 48
+       else -1)
+  else begin
+    add_field s k start (i - start) (plain_value b start i acc);
+    if c = ',' then scan_field s b len first (i + 1) (k + 1)
+    else finish s (k + 1 - first) i len
+  end
+
+and scan_quoted s b len first start r w k =
+  if r >= len || Bytes.unsafe_get b r = '\n' then
+    finish s (-(k + 1 - first)) r len
+  else
+    match Bytes.unsafe_get b r with
+    | '"' when r + 1 < len && Bytes.unsafe_get b (r + 1) = '"' ->
+        Bytes.unsafe_set b w '"';
+        scan_quoted s b len first start (r + 2) (w + 1) k
+    | '"' ->
+        add_field s k start (w - start) min_int;
+        if r + 1 < len && Bytes.unsafe_get b (r + 1) = ',' then
+          scan_field s b len first (r + 2) (k + 1)
+        else finish s (k + 1 - first) (line_end b (r + 1) len) len
+    | c ->
+        Bytes.unsafe_set b w c;
+        scan_quoted s b len first start (r + 1) (w + 1) k
+
+(* One record per line: line 1, the header, always; a later line only when
+   it is not empty, though every line counts in the line numbers. Returns
+   the record count. *)
+let scan_image s len =
+  let b = s.image in
+  let rec line pos line_no n nfields =
+    if pos >= len then n
+    else if Bytes.unsafe_get b pos = '\n' && line_no > 1 then
+      line (pos + 1) (line_no + 1) n nfields
     else begin
-      Buffer.add_char buffer line.[i];
-      plain (i + 1)
+      if (3 * n) + 2 >= Array.length s.records then
+        s.records <- Repro_util.Scratch.grow s.records ((3 * n) + 3) 0;
+      let next = scan_field s b len nfields pos nfields in
+      s.records.(3 * n) <- line_no;
+      s.records.((3 * n) + 1) <- nfields;
+      s.records.((3 * n) + 2) <- s.count;
+      line next (line_no + 1) (n + 1) (nfields + max 0 s.count)
     end
-  and quoted i =
-    if i >= n then
-      Error
-        (Printf.sprintf "line %d: unterminated quote in field %d" line_number
-           (!count + 1))
-    else if line.[i] = '"' then
-      if i + 1 < n && line.[i + 1] = '"' then begin
-        Buffer.add_char buffer '"';
-        quoted (i + 2)
-      end
-      else finish (i + 1)
-    else begin
-      Buffer.add_char buffer line.[i];
-      quoted (i + 1)
-    end
-  and finish i =
-    fields := Buffer.contents buffer :: !fields;
-    incr count;
-    Buffer.clear buffer;
-    if i < n && line.[i] = ',' then field (i + 1) else Ok (List.rev !fields)
   in
-  field 0
+  line 0 1 0 0
 
-let split_record ?(line_number = 0) line =
-  match split_record_checked ~line_number line with
-  | Ok fields -> fields
-  | Error reason -> failwith reason
+let line_of s r = s.records.(3 * r)
+let first_of s r = s.records.((3 * r) + 1)
+let count_of s r = s.records.((3 * r) + 2)
+let field_len s f = s.fields.((3 * f) + 1)
+let fast_int s f = s.fields.((3 * f) + 2)
+let field_string s f = Bytes.sub_string s.image s.fields.(3 * f) (field_len s f)
 
-let parse_field ty raw =
-  if String.equal raw "" then Value.Null
+let unterminated s r =
+  Printf.sprintf "line %d: unterminated quote in field %d" (line_of s r)
+    (-count_of s r)
+
+let bad_arity s r arity =
+  Printf.sprintf "line %d: expected %d fields, got %d" (line_of s r) arity
+    (count_of s r)
+
+(* ---------------- fields to values ---------------- *)
+
+(* The narrowest type, no narrower than [ty], that the field fits. A field
+   the scanner read as a decimal int fits int and float alike. *)
+let widen ty s f =
+  match ty with
+  | Schema.T_string -> ty
+  | _ when field_len s f = 0 || fast_int s f <> min_int -> ty
+  | _ -> (
+      let raw = field_string s f in
+      match ty with
+      | Schema.T_int when int_of_string_opt raw <> None -> Schema.T_int
+      | _ when float_of_string_opt raw <> None -> Schema.T_float
+      | _ -> Schema.T_string)
+
+let cell ty s f =
+  if field_len s f = 0 then Value.Null
   else
     match ty with
-    | Schema.T_int -> Value.Int (int_of_string raw)
-    | Schema.T_float -> Value.Float (float_of_string raw)
-    | Schema.T_string -> Value.Str raw
+    | Schema.T_int ->
+        let v = fast_int s f in
+        Value.Int (if v <> min_int then v else int_of_string (field_string s f))
+    | Schema.T_float -> Value.Float (float_of_string (field_string s f))
+    | Schema.T_string -> Value.Str (field_string s f)
 
 let type_name = function
   | Schema.T_int -> "int"
   | Schema.T_float -> "float"
   | Schema.T_string -> "string"
 
-(* Parse one record into a row under [types]; all failure modes become a
-   located reason. *)
-let parse_record ~line_number ~arity ~types line =
-  match split_record_checked ~line_number line with
-  | Error reason -> Error { line = line_number; reason }
-  | Ok fields ->
-      if List.length fields <> arity then
-        Error
-          {
-            line = line_number;
-            reason =
-              Printf.sprintf "line %d: expected %d fields, got %d" line_number
-                arity (List.length fields);
-          }
-      else begin
-        let row = Array.make arity Value.Null in
-        let bad = ref None in
-        List.iteri
-          (fun j raw ->
-            if !bad = None then
-              match parse_field types.(j) raw with
-              | v -> row.(j) <- v
-              | exception _ ->
-                  bad :=
-                    Some
-                      {
-                        line = line_number;
-                        reason =
-                          Printf.sprintf "line %d: bad %s field %d: %S"
-                            line_number (type_name types.(j)) (j + 1) raw;
-                      })
-          fields;
-        match !bad with None -> Ok row | Some e -> Error e
-      end
+(* ---------------- schema-given readers ---------------- *)
 
-(* Shared scan loop: [on_error] decides strict (stop) vs lenient (skip). *)
+(* Record [r] as a row under [types]; all failure modes become a located
+   reason: an unterminated quote, then the arity, then the first field
+   that does not parse. *)
+let parse_record s ~arity ~types r =
+  let line = line_of s r and first = first_of s r in
+  if count_of s r < 0 then Error { line; reason = unterminated s r }
+  else if count_of s r <> arity then
+    Error { line; reason = bad_arity s r arity }
+  else
+    let row = Array.make arity Value.Null in
+    let rec fill j =
+      if j = arity then Ok row
+      else
+        match cell types.(j) s (first + j) with
+        | v ->
+            row.(j) <- v;
+            fill (j + 1)
+        | exception _ ->
+            Error
+              {
+                line;
+                reason =
+                  Printf.sprintf "line %d: bad %s field %d: %S" line
+                    (type_name types.(j)) (j + 1)
+                    (field_string s (first + j));
+              }
+    in
+    fill 0
+
+(* Shared record loop: [on_error] decides strict (stop) vs lenient
+   (skip). The header is discarded unparsed; the schema is
+   authoritative. *)
 let fold_records schema path ~on_row ~on_error =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let arity = Schema.arity schema in
-      let types = Array.init arity (Schema.type_of schema) in
-      (match input_line ic with
-      | (_ : string) -> () (* header discarded; schema is authoritative *)
-      | exception End_of_file ->
-          ignore (on_error { line = 1; reason = "empty CSV file" } : bool));
-      let line_number = ref 1 in
-      let stop = ref false in
-      (try
-         while not !stop do
-           let line = input_line ic in
-           incr line_number;
-           if not (String.equal line "") then
-             match parse_record ~line_number:!line_number ~arity ~types line with
-             | Ok row -> on_row row
-             | Error e -> if not (on_error e) then stop := true
-         done
-       with End_of_file -> ()))
+  Repro_util.Scratch.with_ slot @@ fun s ->
+  let n = scan_image s (load s path) in
+  if n = 0 then
+    ignore (on_error { line = 1; reason = "empty CSV file" } : bool);
+  let arity = Schema.arity schema in
+  let types = Array.init arity (Schema.type_of schema) in
+  let rec go r =
+    if r < n then
+      match parse_record s ~arity ~types r with
+      | Ok row ->
+          on_row row;
+          go (r + 1)
+      | Error e -> if on_error e then go (r + 1)
+  in
+  go 1
 
 let read_lenient schema path =
   let rows = ref [] and skipped = ref [] in
@@ -188,66 +297,34 @@ let read schema path =
   | Ok table -> table
   | Error { reason; _ } -> failwith reason
 
+(* ---------------- schema inference ---------------- *)
+
 let read_auto path =
-  (* Two passes: sniff column types, then parse with the inferred schema. *)
-  let ic = open_in path in
-  let header, records =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let header =
-          match input_line ic with
-          | line -> split_record ~line_number:1 line
-          | exception End_of_file -> failwith "empty CSV file"
-        in
-        (* keep each record's real file line: blank lines are skipped, so
-           a record's position in the list is not its line number *)
-        let records = ref [] in
-        let line_number = ref 1 in
-        (try
-           while true do
-             let line = input_line ic in
-             incr line_number;
-             if not (String.equal line "") then
-               records :=
-                 (!line_number, split_record ~line_number:!line_number line)
-                 :: !records
-           done
-         with End_of_file -> ());
-        (header, List.rev !records))
-  in
-  let arity = List.length header in
-  let rank = function Schema.T_int -> 0 | Schema.T_float -> 1 | Schema.T_string -> 2 in
-  let widen current field =
-    if String.equal field "" then current
-    else
-      let fits ty =
-        match ty with
-        | Schema.T_int -> int_of_string_opt field <> None
-        | Schema.T_float -> float_of_string_opt field <> None
-        | Schema.T_string -> true
-      in
-      let candidates = [ Schema.T_int; Schema.T_float; Schema.T_string ] in
-      List.find
-        (fun ty -> rank ty >= rank current && fits ty)
-        candidates
-  in
+  Repro_util.Scratch.with_ slot @@ fun s ->
+  let n = scan_image s (load s path) in
+  if n = 0 then failwith "empty CSV file";
+  (* an unterminated quote anywhere in the file is reported before any
+     arity error *)
+  for r = 0 to n - 1 do
+    if count_of s r < 0 then failwith (unterminated s r)
+  done;
+  let arity = count_of s 0 in
   let types = Array.make arity Schema.T_int in
-  List.iter
-    (fun (line_number, fields) ->
-      if List.length fields <> arity then
-        failwith
-          (Printf.sprintf "line %d: expected %d fields, got %d" line_number
-             arity (List.length fields));
-      List.iteri (fun j field -> types.(j) <- widen types.(j) field) fields)
-    records;
-  let schema = Schema.make (List.mapi (fun j name -> (name, types.(j))) header) in
-  let rows =
-    List.map
-      (fun (_, fields) ->
-        let row = Array.make arity Value.Null in
-        List.iteri (fun j field -> row.(j) <- parse_field types.(j) field) fields;
-        row)
-      records
+  for r = 1 to n - 1 do
+    if count_of s r <> arity then failwith (bad_arity s r arity);
+    for j = 0 to arity - 1 do
+      types.(j) <- widen types.(j) s (first_of s r + j)
+    done
+  done;
+  let schema =
+    Schema.make (List.init arity (fun j -> (field_string s j, types.(j))))
   in
-  Table.create schema (Array.of_list rows)
+  let rows = Array.make (n - 1) [||] in
+  for r = 1 to n - 1 do
+    let row = Array.make arity Value.Null and first = first_of s r in
+    for j = 0 to arity - 1 do
+      row.(j) <- cell types.(j) s (first + j)
+    done;
+    rows.(r - 1) <- row
+  done;
+  Table.create schema rows

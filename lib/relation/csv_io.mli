@@ -3,11 +3,29 @@
     quote escapes); values are parsed back using the schema's column
     types, with empty fields read as [Null].
 
-    Three read modes share one scanner: {!read} raises on the first
-    malformed row (historical behaviour), {!read_strict} returns it as a
-    located [Error], and {!read_lenient} skips malformed rows and reports
-    them as diagnostics — the mode a production ingest wants when one bad
-    row must not sink a load. *)
+    Four readers share one scanner. {!read} raises on the first malformed
+    row (historical behaviour), {!read_strict} returns it as a located
+    [Error], and {!read_lenient} skips malformed rows and reports them as
+    diagnostics — the mode a production ingest wants when one bad row must
+    not sink a load. {!read_auto} infers the schema.
+
+    The scanner reads the whole file, to end of file (a pipe or FIFO
+    works), into a buffer owned by the calling domain, then splits it in
+    one pass into field bounds kept in a second reused buffer. Both grow
+    to the largest file the domain has read and are never shrunk, so a
+    warm read allocates the table it returns and little else. Domains
+    reading at once each use their own buffers.
+
+    The format, quirks included:
+    - records are split on ['\n'] only; a ['\r'] stays in its field;
+    - blank lines are skipped but still count in line numbers (the header
+      is line 1, and is read even when blank);
+    - a field that starts with a double quote is quoted: a doubled quote
+      inside it is one quote, and after its closing quote anything other
+      than a comma ends the record, dropping the rest of the line; a
+      quote inside an unquoted field is an ordinary character;
+    - a quote still open at the end of its line is an error for that
+      line (records never span lines). *)
 
 type row_error = {
   line : int;  (** 1-based physical line number (the header is line 1) *)
@@ -47,5 +65,16 @@ val read_auto : string -> Table.t
 (** [read_auto path] reads a CSV without a known schema: column names come
     from the header and each column's type is inferred from the data
     (int if every non-empty field parses as an int, else float if every
-    non-empty field parses as a number, else string). Raises [Failure] on
-    malformed input or an empty file. *)
+    non-empty field parses as a number, else string; parsing is
+    [int_of_string] / [float_of_string], so [0x1F], [1_000] or [nan]
+    count). Failures, in the order they are checked:
+    - [Sys_error] when the file cannot be opened or read;
+    - [Failure "empty CSV file"] for a file of zero bytes;
+    - [Failure "line N: unterminated quote in field K"] for the first such
+      line anywhere in the file, header included;
+    - [Failure "line N: expected A fields, got B"] for the first record,
+      in file order, whose field count differs from the header's;
+    - [Invalid_argument] from {!Schema.make} for a duplicate header name;
+    - [Failure] from [float_of_string] for a field that widened its
+      column to float as an int but does not read as a float ([0b101],
+      say). *)

@@ -81,7 +81,16 @@ let group_by t name =
     groups;
   out
 
-let distinct_count t name = Value.Tbl.length (frequency_map t name)
+let distinct_count t name =
+  let i = column_index t name in
+  let seen = Value.Tbl.create 1024 in
+  Array.iter
+    (fun row ->
+      match row.(i) with
+      | Value.Null -> ()
+      | v -> if not (Value.Tbl.mem seen v) then Value.Tbl.add seen v ())
+    t.rows;
+  Value.Tbl.length seen
 
 (* FNV-1a over a canonical byte rendering of the schema and every cell.
    64-bit, content-only: two tables with equal schemas and equal rows in
@@ -91,41 +100,57 @@ let distinct_count t name = Value.Tbl.length (frequency_map t name)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_byte h b =
+let[@inline] fnv_byte h b =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
-let fnv_int64 h x =
-  let h = ref h in
-  for shift = 0 to 7 do
-    h := fnv_byte !h (Int64.to_int (Int64.shift_right_logical x (shift * 8)))
-  done;
-  !h
+(* the eight little-endian bytes of [x], written out so that inlined into
+   a loop they leave its accumulator unboxed *)
+let[@inline] fnv_int64 h x =
+  let h = fnv_byte h (Int64.to_int x) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 8)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 16)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 24)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 32)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 40)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 48)) in
+  fnv_byte h (Int64.to_int (Int64.shift_right_logical x 56))
 
 let fnv_string h s =
   let h = ref (fnv_int64 h (Int64.of_int (String.length s))) in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
-let fnv_value h v =
-  match v with
-  | Value.Null -> fnv_byte h 0
-  | Value.Int x -> fnv_int64 (fnv_byte h 1) (Int64.of_int x)
-  | Value.Float x -> fnv_int64 (fnv_byte h 2) (Int64.bits_of_float x)
-  | Value.Str s -> fnv_string (fnv_byte h 3) s
-
+(* The cell loop keeps its accumulator in a local that no closure or call
+   boxes: a string's bytes are hashed inline, not through [fnv_string]. *)
 let fingerprint t =
-  let h = ref (fnv_int64 fnv_offset (Int64.of_int (cardinality t))) in
+  let h0 = ref (fnv_int64 fnv_offset (Int64.of_int (cardinality t))) in
   List.iter
     (fun (name, ty) ->
-      h := fnv_string !h name;
-      h :=
-        fnv_byte !h
+      h0 := fnv_string !h0 name;
+      h0 :=
+        fnv_byte !h0
           (match ty with
           | Schema.T_int -> 0
           | Schema.T_float -> 1
           | Schema.T_string -> 2))
     (Schema.columns t.schema);
-  Array.iter (fun row -> Array.iter (fun v -> h := fnv_value !h v) row) t.rows;
+  let h = ref !h0 in
+  for r = 0 to Array.length t.rows - 1 do
+    let row = t.rows.(r) in
+    for c = 0 to Array.length row - 1 do
+      match row.(c) with
+      | Value.Null -> h := fnv_byte !h 0
+      | Value.Int x -> h := fnv_int64 (fnv_byte !h 1) (Int64.of_int x)
+      | Value.Float x -> h := fnv_int64 (fnv_byte !h 2) (Int64.bits_of_float x)
+      | Value.Str s ->
+          h := fnv_int64 (fnv_byte !h 3) (Int64.of_int (String.length s));
+          for i = 0 to String.length s - 1 do
+            h := fnv_byte !h (Char.code (String.unsafe_get s i))
+          done
+    done
+  done;
   !h
 
 let pp_head ?(limit = 10) fmt t =

@@ -43,7 +43,8 @@ val group_by : t -> string -> int array Value.Tbl.t
 
 val distinct_count : t -> string -> int
 (** Number of distinct non-null values in a column — the [|V_A|] of the
-    paper's join value density. *)
+    paper's join value density. Equal to the size of {!frequency_map}'s
+    table, but counted without per-value counts. *)
 
 val pp_head : ?limit:int -> Format.formatter -> t -> unit
 (** Debug printer: schema plus the first [limit] (default 10) rows. *)
@@ -52,4 +53,9 @@ val fingerprint : t -> int64
 (** Content fingerprint (64-bit FNV-1a over schema and rows, in row
     order). Equal tables fingerprint equally on every platform; the
     synopsis store records it so persisted row indices are never
-    rehydrated against different base data. Not cryptographic. *)
+    rehydrated against different base data. Not cryptographic. The
+    hashed bytes are fixed: the cardinality, then per column its name
+    (length-prefixed) and a type byte, then per cell a tag byte and its
+    payload (an int's or a float's 64 bits little-endian, a string's
+    length then bytes). The loop keeps its accumulator unboxed and
+    allocates nothing per cell. *)

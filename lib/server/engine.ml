@@ -69,11 +69,9 @@ type t = {
 (* |A| * |B| / max(d_A, d_B): the System-R independence prior of
    [Estimator.independence_prior], computed from the stored synopsis'
    table handles instead of a full profile (the formula is symmetric, so
-   sampler orientation does not matter). *)
-let prior_of_synopsis (syn : Csdl.Synopsis.t) =
-  let side (s : Csdl.Sample.t) =
-    (Table.cardinality s.table, Table.distinct_count s.table s.column)
-  in
+   sampler orientation does not matter). [side] gives a sample's
+   cardinality and distinct count; see [side_counts]. *)
+let prior_of_synopsis side (syn : Csdl.Synopsis.t) =
   let card_a, d_a = side syn.sample_a in
   let card_b, d_b = side syn.sample_b in
   let d = max d_a d_b in
@@ -90,11 +88,30 @@ let cache_key_of_stored (s : Csdl.Synopsis_store.stored) =
     prng_key = s.prng_key;
   }
 
-let meta_of_stored (s : Csdl.Synopsis_store.stored) =
+(* One snapshot's side counts, each (table, column) counted once: the
+   entries of one decode share their tables physically. *)
+let side_counts () =
+  let seen = ref [] in
+  fun (s : Csdl.Sample.t) ->
+    match
+      List.find_opt
+        (fun (table, column, _) ->
+          table == s.table && String.equal column s.column)
+        !seen
+    with
+    | Some (_, _, counts) -> counts
+    | None ->
+        let counts =
+          (Table.cardinality s.table, Table.distinct_count s.table s.column)
+        in
+        seen := (s.table, s.column, counts) :: !seen;
+        counts
+
+let meta_of_stored side (s : Csdl.Synopsis_store.stored) =
   {
     m_cache_key = cache_key_of_stored s;
     m_swapped = s.swapped;
-    m_prior = prior_of_synopsis s.synopsis;
+    m_prior = prior_of_synopsis side s.synopsis;
     m_shards = s.shards;
   }
 
@@ -201,10 +218,11 @@ let create ?(obs = Obs.null) ?(clock = Clock.wall) ?(sleep = Clock.sleepf)
   | Ok entries ->
       let metas = Hashtbl.create 16 in
       let cache = Cache.create ~obs ~capacity:config.cache_capacity () in
+      let side = side_counts () in
       let flats =
         List.map
           (fun (s : Csdl.Synopsis_store.stored) ->
-            let meta = meta_of_stored s in
+            let meta = meta_of_stored side s in
             let flat = Csdl.Synopsis_flat.of_synopsis s.synopsis in
             Hashtbl.replace metas s.key meta;
             Cache.insert cache meta.m_cache_key flat;
@@ -382,10 +400,11 @@ let reload t =
       | Error fault -> Error fault
       | Ok entries ->
           let metas = Hashtbl.create 16 in
+          let side = side_counts () in
           let flats =
             List.map
               (fun (s : Csdl.Synopsis_store.stored) ->
-                let meta = meta_of_stored s in
+                let meta = meta_of_stored side s in
                 let flat = Csdl.Synopsis_flat.of_synopsis s.synopsis in
                 Hashtbl.replace metas s.key meta;
                 cache_insert t meta flat;

@@ -763,6 +763,137 @@ let test_read_entry_rejects_corruption () =
       [ flip image (40 + pos); reseal (flip payload pos) ]
   done
 
+(* The decoder's named checks. A [payload] fault is named by its detail;
+   the catch-all for a stray stdlib exception also says [payload], with
+   the exception's printed form as its detail, and matches none of
+   these. *)
+let named_fault = function
+  | Csdl.Fault.Store_mismatch { what = "payload"; detail } ->
+      List.exists
+        (fun prefix -> String.starts_with ~prefix detail)
+        [
+          "truncated at byte ";
+          "integer out of range";
+          "negative ";
+          "unknown ";
+          "payload length ";
+          "trailing bytes after last entry";
+        ]
+  | Csdl.Fault.Store_mismatch
+      {
+        what =
+          ( "header" | "magic" | "version" | "schema-hash" | "checksum"
+          | "shard segment" | "row" | "table" | "fingerprint" | "key" );
+        _;
+      } ->
+      true
+  | _ -> false
+
+(* The non-empty shard segments of a payload, as the offset of each one's
+   length field and its length: a length, then an FNV-1a checksum that
+   matches the bytes after them. *)
+let segments payload =
+  let n = String.length payload in
+  List.filter
+    (fun (i, len) ->
+      len > 0
+      && len <= n - i - 16
+      && String.get_int64_le payload (i + 8)
+         = fnv64 (String.sub payload (i + 16) len))
+    (List.init (max 0 (n - 16)) (fun i ->
+         (i, Int64.to_int (String.get_int64_le payload i))))
+
+(* Every prefix of a valid image (raw, and re-sealed so the inner checks
+   see it) and 3,000 seeded byte substitutions (raw; re-sealed; and inside
+   a shard segment whose checksum is recomputed, so the entry parser reads
+   them), through [decode] and [decode_entry] for each key: each returns
+   promptly, never raises, and fails, if at all, through a named check. A
+   raw image that is not the valid one must fail; a re-sealed substitution
+   may still decode (a changed float, say). *)
+let test_decoder_truncation_and_substitution () =
+  List.iter
+    (fun shards ->
+      let image = multi_entry_image ~shards in
+      let payload = String.sub image 40 (String.length image - 40) in
+      let decoders =
+        ("decode", fun image ->
+            Result.map ignore (Csdl.Synopsis_store.decode ~resolve_table image))
+        :: List.map
+             (fun (key, _) ->
+               ( "decode_entry " ^ key,
+                 fun image ->
+                   Result.map ignore
+                     (Csdl.Synopsis_store.decode_entry ~resolve_table ~key
+                        image)
+               ))
+             entry_keys
+      in
+      let check ~must_fail label image =
+        List.iter
+          (fun (name, decode) ->
+            let started = Sys.time () in
+            (match decode image with
+            | Ok () ->
+                if must_fail then
+                  Alcotest.failf "%d shards, %s: %s decoded" shards label name
+            | Error fault ->
+                if not (named_fault fault) then
+                  Alcotest.failf "%d shards, %s: %s: unnamed fault %s" shards
+                    label name (Csdl.Fault.error_to_string fault)
+            | exception exn ->
+                Alcotest.failf "%d shards, %s: %s raised %s" shards label name
+                  (Printexc.to_string exn));
+            if Sys.time () -. started > 1.0 then
+              Alcotest.failf "%d shards, %s: %s took over a second" shards label
+                name)
+          decoders
+      in
+      for len = 0 to String.length image - 1 do
+        check ~must_fail:true
+          (Printf.sprintf "prefix of %d bytes" len)
+          (String.sub image 0 len)
+      done;
+      for len = 0 to String.length payload - 1 do
+        check ~must_fail:true
+          (Printf.sprintf "re-sealed payload prefix of %d bytes" len)
+          (reseal (String.sub payload 0 len))
+      done;
+      (* a length near max_int (here the first key's) must not wrap
+         past the bounds check *)
+      let huge = Bytes.of_string payload in
+      Bytes.set_int64_le huge 8 (Int64.of_int max_int);
+      check ~must_fail:true "key length max_int"
+        (reseal (Bytes.to_string huge));
+      let prng = Prng.create (100 + shards) in
+      let substitute s =
+        let b = Bytes.of_string s in
+        let pos = Prng.int prng (Bytes.length b) in
+        Bytes.set b pos
+          (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Prng.int prng 255)));
+        (pos, Bytes.to_string b)
+      in
+      let segments = Array.of_list (segments payload) in
+      Alcotest.(check bool) "fixture has shard segments" true
+        (Array.length segments >= 6);
+      for _ = 1 to 1000 do
+        let pos, raw = substitute image in
+        check ~must_fail:true (Printf.sprintf "byte %d substituted" pos) raw;
+        let pos, inner = substitute payload in
+        check ~must_fail:false
+          (Printf.sprintf "payload byte %d substituted, re-sealed" pos)
+          (reseal inner);
+        let at, len = segments.(Prng.int prng (Array.length segments)) in
+        let pos, body = substitute (String.sub payload (at + 16) len) in
+        let b = Bytes.of_string payload in
+        Bytes.blit_string body 0 b (at + 16) len;
+        Bytes.set_int64_le b (at + 8) (fnv64 body);
+        check ~must_fail:false
+          (Printf.sprintf "segment at %d, byte %d substituted, re-sealed" at
+             pos)
+          (reseal (Bytes.to_string b))
+      done)
+    [ 1; 4 ]
+
 (* ---------------- LRU synopsis cache ---------------- *)
 
 let cache_key i =
@@ -961,6 +1092,8 @@ let () =
             test_read_entry_ignores_other_entries_tables;
           Alcotest.test_case "corruption is typed, never raised" `Quick
             test_read_entry_rejects_corruption;
+          Alcotest.test_case "truncation and byte substitution are named faults"
+            `Quick test_decoder_truncation_and_substitution;
         ] );
       ( "cache",
         [
