@@ -5,9 +5,10 @@
 # store, (2) the protocol verbs to answer, (3) SIGTERM to exit 0 after
 # "shutdown complete", (4) the same byte identity through a one-slot
 # cache, where every query file starts on a cache miss that reads the
-# store, and (5) a brief --chaos run to inject faults and still serve
-# every query without crashing. Run from the bench build directory by the
-# @server-smoke alias.
+# store, (5) a brief --chaos run to inject faults and still serve every
+# query without crashing, and (6) the same byte identity, with no
+# degraded reply, on a store whose first side holds only sentries. Run
+# from the bench build directory by the @server-smoke alias.
 set -eu
 
 PORT=7457
@@ -162,3 +163,45 @@ kill -TERM $SRV
 wait $SRV
 grep -q 'shutdown complete' srv-chaos.log
 echo "chaos mode: faults injected, every query answered, SIGTERM exited 0"
+
+# ---- phase 4: a first side of sentries only answers as batch ----
+
+# a low-jvd pair, 4,000 rows over 3 keys against 3 rows: at theta 0.0005
+# CSDL-Opt picks CSDL(1,diff) and its budget fits only the sentries, so
+# the sampler clamps every q_v to 0 and Eq. 7's sentry terms carry each
+# estimate. The daemon must answer them, not fall back to a prior.
+{
+  echo k,attr
+  i=0
+  while [ $i -lt 4000 ]; do
+    echo "$((i % 3)),$((i % 11))"
+    i=$((i + 1))
+  done
+} > lj-left.csv
+printf 'k,attr\n0,0\n1,1\n2,2\n' > lj-right.csv
+printf '%s\n' ' ;; ' 'k <= 1 ;; ' 'attr < 5 ;; k >= 1' 'k = 2 ;; attr = 2' \
+  'attr > 100 ;; ' > lj-queries.txt
+
+../bin/repro_cli.exe synopsis-build "lj=lj-left.csv:k,lj-right.csv:k" \
+  --theta 0.0005 --seed 11 --store lj-synopses.bin > lj-build.txt
+grep -q 'built lj: CSDL(1,diff)' lj-build.txt
+../bin/repro_cli.exe batch lj --store lj-synopses.bin \
+  --queries lj-queries.txt > lj-batch-out.txt
+
+../bin/repro_cli.exe serve --store lj-synopses.bin --port $PORT \
+  2> lj-server.log &
+SRV=$!
+wait_ready lj-server.log
+../bin/repro_cli.exe client --port $PORT --key lj \
+  --queries lj-queries.txt > lj-client-out.txt
+kill -TERM $SRV
+wait $SRV
+grep -q 'shutdown complete' lj-server.log
+
+if grep -q degraded lj-client-out.txt; then
+  echo "sentry-only store: the daemon degraded" >&2
+  cat lj-client-out.txt >&2
+  exit 1
+fi
+cmp lj-batch-out.txt lj-client-out.txt
+echo "sentry-only store: 5 estimates byte-identical, none degraded"

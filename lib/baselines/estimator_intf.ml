@@ -58,21 +58,16 @@ let csdl ?spec ~theta ~pred_a ~pred_b profile =
   let est, span =
     Clock.time (fun () -> Csdl.Estimator.prepare spec ~theta profile)
   in
-  (* [Estimate.run_flat] wants the sampler's orientation; the estimator
-     records whether it swapped the sides. *)
-  let pred_a, pred_b =
-    if Csdl.Estimator.swapped est then (pred_b, pred_a) else (pred_a, pred_b)
-  in
   let draw prng = Csdl.Estimator.draw est prng in
-  let estimate prng =
-    let flat = Csdl.Synopsis_flat.of_synopsis (draw prng) in
-    Csdl.Estimate.run_flat ~pred_a ~pred_b flat
-  in
+  let estimate_of syn = Csdl.Estimator.estimate ~pred_a ~pred_b est syn in
+  let estimate prng = estimate_of (draw prng) in
   let estimate_with_variance prng =
     let syn = draw prng in
-    let flat = Csdl.Synopsis_flat.of_synopsis syn in
-    let estimate = Csdl.Estimate.run_flat ~pred_a ~pred_b flat in
-    (estimate, plug_in_scaling_variance syn ~pred_a ~pred_b)
+    (* the variance walks the synopsis in the sampler's orientation *)
+    let pred_a, pred_b =
+      if Csdl.Estimator.swapped est then (pred_b, pred_a) else (pred_a, pred_b)
+    in
+    (estimate_of syn, plug_in_scaling_variance syn ~pred_a ~pred_b)
   in
   {
     name;

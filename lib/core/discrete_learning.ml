@@ -176,10 +176,15 @@ let learn ?(obs = Obs.null) ?(config = default_config) counts =
   if n <= 0.0 then degenerate 0.0
   else fst (learn_core ~obs config fingerprint n)
 
-let learn_checked ?(obs = Obs.null) ?(config = default_config) counts =
+let check_config config =
   match config_error config with
   | Some problem -> Error (Fault.Bad_input ("discrete learning config: " ^ problem))
-  | None -> (
+  | None -> Ok ()
+
+let learn_checked ?(obs = Obs.null) ?(config = default_config) counts =
+  match check_config config with
+  | Error fault -> Error fault
+  | Ok () -> (
     match Array.find_opt (fun c -> not (Float.is_finite c)) counts with
     | Some bad ->
         Error (Fault.Numeric { what = "discrete-learning count"; value = bad })

@@ -56,6 +56,10 @@ val learn : ?obs:Repro_obs.Obs.ctx -> ?config:config -> float array -> t
     size ([dl.virtual_sample.size]), counts absorbed LP failures
     ([dl.lp.failures]) and forwards to the LP-layer metrics. *)
 
+val check_config : config -> (unit, Fault.error) result
+(** The config check of {!learn_checked} alone: [Error (Bad_input _)] for
+    a config it would refuse, [Ok ()] otherwise. Runs no learner. *)
+
 val learn_checked :
   ?obs:Repro_obs.Obs.ctx -> ?config:config -> float array -> (t, Fault.error) result
 (** Like {!learn} but every silent-degradation path becomes a typed error:

@@ -12,102 +12,30 @@
       with [N'' = N' |S''_A| / |S_A|].
 
     Predicates here are in the {e sampler's} orientation: [pred_a] applies
-    to the first-sampled table. {!Estimator} handles user orientation.
+    to the first-sampled table. {!Estimator} and {!Store} handle user
+    orientation.
 
-    The hot path operates on a {!Synopsis_flat.t}: single linear passes
-    over columnar arrays, the predicate evaluated exactly once per sampled
-    row per query, the two sides joined by precomputed index position.
-    The [*_flat] entry points take a prebuilt flat view (build it once per
-    load, reuse per query); the [Synopsis.t]-taking functions are
-    conveniences that freeze a flat view per call and are bit-identical to
-    the flat path. *)
+    {!run_checked_flat} is the one function that computes an estimate;
+    [batch], the daemon, the bake-off, the experiment grid and the drift
+    sentinels all call it, so they answer the same number for the same
+    synopsis and query. It operates on a {!Synopsis_flat.t}: single linear
+    passes over columnar arrays, the predicate evaluated exactly once per
+    sampled row per query, the two sides joined by precomputed index
+    position. Build the flat view once per draw or load and reuse it per
+    query. *)
 
 open Repro_relation
-
-val run :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis.t ->
-  float
-(** Estimated join size of [sigma_a(A) |><| sigma_b(B)]; predicates default
-    to [Predicate.True]. Returns 0 when the filtered samples are empty —
-    the failure mode the paper reports as infinite q-error. A live [obs]
-    context wraps the run in an [estimate.run] span (attribute [method]),
-    counts runs ([estimate.runs{method}]) and degenerate outcomes
-    ([estimate.degenerate]), and forwards to the DL/LP metrics. *)
 
 type breakdown = {
   estimate : float;
   filtered_a_tuples : int;  (** |S''_A| including sentries *)
   filtered_b_tuples : int;
   selectivity_a : float;  (** f^{c_A} = |S''_A| / |S_A| *)
-  virtual_sample_size : float;  (** n of the DL input; 0 for scaling *)
+  virtual_sample_size : float;
+      (** n of the DL input; 0 for scaling, and 0 when the filtered first
+          side holds only sentries or only rates clamped to [q_v = 0] *)
   contributing_values : int;  (** |V''_{A,B}| with a non-zero term *)
-  degenerate : bool;
-      (** [true] when a filtered sample (or the whole first-side sample)
-          is empty, i.e. the estimate is "no evidence" rather than a
-          measured zero — the regime the paper reports as infinite
-          q-error. Callers that must act on it should prefer
-          {!run_checked}, which turns it into a typed error. *)
 }
-
-val run_with_breakdown :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis.t ->
-  breakdown
-(** Same as {!run}, exposing intermediate quantities for tests and
-    diagnostics. [virtual_sample] (default [true]) applies Eq. 6's
-    virtual-sample correction before discrete learning; setting it to
-    [false] feeds raw counts to the learner — the ablation showing why
-    Lemma 1 matters for different-[q_v] variants. Ignored by scaling
-    specs. *)
-
-val run_checked :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis.t ->
-  (breakdown, Fault.error) result
-(** Guarded variant of {!run_with_breakdown}: validates the synopsis
-    (finite [N'], finite positive stored rates, semijoin side referencing
-    only first-side values), reports empty filtered samples as
-    [Error (Empty_filtered_sample _)] instead of a silent [0.], surfaces
-    discrete-learning failures via {!Discrete_learning.learn_checked}, and
-    rejects a non-finite or negative final estimate as [Error (Numeric _)].
-    Any stray exception out of a structurally corrupt synopsis is caught
-    and returned as [Error (Corrupt_synopsis _)]. Never raises. *)
-
-(** {2 Flat hot path} *)
-
-val run_flat :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis_flat.t ->
-  float
-(** {!run} over a prebuilt flat view — the per-query cost is the linear
-    scans only. Bit-identical to {!run}. *)
-
-val run_with_breakdown_flat :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  Synopsis_flat.t ->
-  breakdown
-(** {!run_with_breakdown} over a prebuilt flat view. *)
 
 val run_checked_flat :
   ?obs:Repro_obs.Obs.ctx ->
@@ -117,6 +45,37 @@ val run_checked_flat :
   ?pred_b:Predicate.t ->
   Synopsis_flat.t ->
   (breakdown, Fault.error) result
-(** {!run_checked} over a prebuilt flat view. Structural validation is the
-    memoized {!Synopsis_flat.t.verdict} computed when the view was built —
-    once per load, not once per query. *)
+(** Estimated join size of [sigma_a(A) |><| sigma_b(B)]; predicates default
+    to [Predicate.True]. Never raises.
+
+    - A synopsis whose memoized {!Synopsis_flat.t.verdict} is [Some f]
+      (non-finite [N'], a non-finite or non-positive [p_v], a non-finite or
+      negative [q_v], a dangling semijoin value) gives [Error f]. A
+      second-level rate of 0 is valid: the sampler writes it when a
+      budget fits only the sentries.
+    - An empty filtered sample on either side gives
+      [Error (Empty_filtered_sample side)] — "no evidence", the regime the
+      paper reports as infinite q-error. {!value} maps it to 0.
+    - A filtered first side that holds only sentries is valid input. The
+      discrete learner is not called; every x_v is 0 and the sentry
+      indicators of Eq. 7 carry the estimate.
+    - For a discrete-learning spec, an invalid [dl_config] gives
+      [Error (Bad_input _)] whether or not the learner runs; any other
+      fault of {!Discrete_learning.learn_checked} is returned as is.
+    - A non-finite or negative estimate gives [Error (Numeric _)], and a
+      stray exception (a structurally corrupt synopsis, a predicate on an
+      unknown column) [Error (Corrupt_synopsis _)].
+
+    [virtual_sample] (default [true]) applies Eq. 6's virtual-sample
+    correction before discrete learning; [false] feeds raw counts to the
+    learner — the ablation showing why Lemma 1 matters for different-[q_v]
+    variants. Ignored by scaling specs.
+
+    A live [obs] context wraps the run in an [estimate.run] span
+    (attribute [method]), counts runs ([estimate.runs{method}]) and empty
+    filtered samples ([estimate.degenerate]), and forwards to the DL/LP
+    metrics. *)
+
+val value : (breakdown, Fault.error) result -> (float, Fault.error) result
+(** The answer a caller reports: the estimate, or 0 for an empty filtered
+    sample (no evidence answers 0); any other fault stays an [Error]. *)

@@ -28,19 +28,21 @@ let prepare ?(sample_first = `Fk_side) spec ~theta (profile : Profile.t) =
 let draw ?obs t prng =
   Synopsis.draw ?obs prng ~profile:t.profile ~resolved:t.resolved
 
-let estimate ?obs ?dl_config ?virtual_sample ?(pred_a = Predicate.True)
+(* The checked estimate in user orientation: predicates are mapped to the
+   sampler's, and the synopsis is frozen once for this call. *)
+let checked ?obs ?dl_config ?virtual_sample ?(pred_a = Predicate.True)
     ?(pred_b = Predicate.True) t synopsis =
   let pred_a, pred_b = if t.swapped then (pred_b, pred_a) else (pred_a, pred_b) in
-  Estimate.run ?obs ?dl_config ?virtual_sample ~pred_a ~pred_b synopsis
+  Estimate.run_checked_flat ?obs ?dl_config ?virtual_sample ~pred_a ~pred_b
+    (Synopsis_flat.of_synopsis synopsis)
+
+let estimate ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t synopsis =
+  checked ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t synopsis
+  |> Estimate.value |> Fault.get_ok
 
 let estimate_once ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t prng =
   let synopsis = draw ?obs t prng in
   estimate ?obs ?dl_config ?virtual_sample ?pred_a ?pred_b t synopsis
-
-let estimate_checked ?obs ?dl_config ?virtual_sample ?(pred_a = Predicate.True)
-    ?(pred_b = Predicate.True) t synopsis =
-  let pred_a, pred_b = if t.swapped then (pred_b, pred_a) else (pred_a, pred_b) in
-  Estimate.run_checked ?obs ?dl_config ?virtual_sample ~pred_a ~pred_b synopsis
 
 let swapped t = t.swapped
 let spec t = t.spec
@@ -123,8 +125,7 @@ let estimate_guarded ?(obs = Obs.null) ?dl_config ?virtual_sample ?pred_a
       match
         let t = prepare ?sample_first spec ~theta profile in
         let synopsis = draw_fn t prng in
-        estimate_checked ~obs ?dl_config ?virtual_sample ?pred_a ?pred_b t
-          synopsis
+        checked ~obs ?dl_config ?virtual_sample ?pred_a ?pred_b t synopsis
       with
       | Ok breakdown -> Some (rung, breakdown.Estimate.estimate)
       | Error fault ->

@@ -39,7 +39,12 @@ val estimate :
   t ->
   Synopsis.t ->
   float
-(** Online phase: estimated size of [sigma_a(A) |><| sigma_b(B)]. *)
+(** Online phase: estimated size of [sigma_a(A) |><| sigma_b(B)]:
+    {!Estimate.value} of {!Estimate.run_checked_flat} on the synopsis'
+    flat view, with the predicates mapped to the sampler's orientation.
+    An empty filtered sample answers 0. Raises [Failure] on any other
+    fault (an invalid [dl_config], a corrupt synopsis, a predicate on an
+    unknown column); no synopsis {!draw} returns reaches that raise. *)
 
 val estimate_once :
   ?obs:Repro_obs.Obs.ctx ->
@@ -51,19 +56,6 @@ val estimate_once :
   Repro_util.Prng.t ->
   float
 (** Convenience: {!draw} then {!estimate} in one call. *)
-
-val estimate_checked :
-  ?obs:Repro_obs.Obs.ctx ->
-  ?dl_config:Discrete_learning.config ->
-  ?virtual_sample:bool ->
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  t ->
-  Synopsis.t ->
-  (Estimate.breakdown, Fault.error) result
-(** {!estimate} through {!Estimate.run_checked}: predicates are mapped to
-    the sampler's orientation, and every failure mode comes back as a
-    typed error instead of a raise or a silent degenerate number. *)
 
 type guarded = {
   value : float;  (** finite, clamped to [0, |A| * |B|] *)
@@ -95,9 +87,11 @@ val estimate_guarded :
   (guarded, Fault.error) result
 (** Fault-tolerant estimation: run the degradation cascade
     CSDL(theta,diff) -> CSDL(1,diff) -> simple scaling -> [fallback]
-    (default {!independence_prior}), downgrading one rung whenever the
-    current one returns a typed error, raises, or yields a non-finite or
-    negative estimate. Each downgrade is recorded in the trace; the final
+    (default {!independence_prior}), downgrading one rung whenever
+    {!Estimate.run_checked_flat} returns a typed error for the current
+    one (an empty filtered sample included) or drawing it raises. A
+    sentry-only filtered first side and rates clamped to [q_v = 0] are
+    answers, not faults, so they do not downgrade. Each downgrade is recorded in the trace; the final
     answer is clamped to [0, |A| * |B|]. [draw] overrides synopsis drawing
     (the fault-injection harness corrupts synopses through it); [fallback]
     is [(rung_name, thunk)] — lib/robustness wires the sampling

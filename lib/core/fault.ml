@@ -54,6 +54,15 @@ let of_l1_error (e : Repro_lp.L1_fit.error) =
 
 let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
+(* The conveniences that return a bare value (Store.load, Store.estimate,
+   Estimator.estimate) share this one untyped raise. *)
+let get_ok ?context = function
+  | Ok v -> v
+  | Error e ->
+      let reason = error_to_string e in
+      failwith
+        (match context with Some c -> c ^ ": " ^ reason | None -> reason)
+
 (* Stable machine-readable variant names, used as the [fault] label on the
    [estimate.downgrade] counter (docs/observability.md). *)
 let variant_label = function

@@ -2,8 +2,9 @@
     estimation pipeline.
 
     The checked entry points ({!Discrete_learning.learn_checked},
-    {!Estimate.run_checked}) return [('a, Fault.error) result] instead of
-    raising or silently returning degenerate numbers; the guarded estimator
+    {!Estimate.run_checked_flat}, the store loaders) return
+    [('a, Fault.error) result] instead of raising or silently returning
+    degenerate numbers; the guarded estimator
     ({!Estimator.estimate_guarded}) turns those errors into downgrades along
     a fallback cascade, recording each step as a {!degradation}. See
     docs/robustness.md for when each error fires and how the cascade
@@ -50,6 +51,12 @@ type error =
 
 val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit
+
+val get_ok : ?context:string -> ('a, error) result -> 'a
+(** The value of [Ok v]; raises [Failure] with {!error_to_string} of the
+    fault (prefixed by [context ^ ": "] when given) on [Error _]. For the
+    conveniences that return a bare value ({!Store.load},
+    {!Store.estimate}, {!Estimator.estimate}). *)
 
 val variant_label : error -> string
 (** Stable lowercase name of the variant (payload dropped), e.g.

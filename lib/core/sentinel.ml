@@ -81,11 +81,8 @@ let replay flat ~swapped s =
   | None -> None
   | Some (pa, pb) -> (
       let pred_a, pred_b = if swapped then (pb, pa) else (pa, pb) in
-      match Estimate.run_checked_flat ?pred_a ?pred_b flat with
-      | Ok b ->
-          Some (Repro_stats.Qerror.compute ~truth:s.truth ~estimate:b.Estimate.estimate)
-      | Error (Fault.Empty_filtered_sample _) ->
-          Some (Repro_stats.Qerror.compute ~truth:s.truth ~estimate:0.0)
+      match Estimate.(value (run_checked_flat ?pred_a ?pred_b flat)) with
+      | Ok estimate -> Some (Repro_stats.Qerror.compute ~truth:s.truth ~estimate)
       | Error _ -> None)
 
 (* The baseline is what makes the drift signal relative: a synopsis can

@@ -99,7 +99,8 @@ let estimate ?obs ?dl_config ?(pred_a = Predicate.True)
   let pred_a, pred_b =
     if entry.swapped then (pred_b, pred_a) else (pred_a, pred_b)
   in
-  Estimate.run_flat ?obs ?dl_config ~pred_a ~pred_b entry.flat
+  Estimate.run_checked_flat ?obs ?dl_config ~pred_a ~pred_b entry.flat
+  |> Estimate.value |> Fault.get_ok
 
 let total_tuples store =
   Hashtbl.fold
@@ -155,6 +156,4 @@ let load_result ~resolve_table path =
     (Synopsis_store.read ~resolve_table ~path)
 
 let load ~resolve_table path =
-  match load_result ~resolve_table path with
-  | Ok store -> store
-  | Error fault -> failwith (path ^ ": " ^ Fault.error_to_string fault)
+  Fault.get_ok ~context:path (load_result ~resolve_table path)

@@ -72,8 +72,12 @@ val estimate :
   key:string ->
   float
 (** Online estimation against a stored synopsis; predicates are in the
-    original (A, B) orientation, as with {!Estimator.estimate}. Raises
-    [Not_found] for an unknown key. *)
+    original (A, B) orientation, as with {!Estimator.estimate}. The value
+    is {!Estimate.value} of {!Estimate.run_checked_flat} on the entry's
+    flat view — what the daemon answers for the same query. Raises
+    [Not_found] for an unknown key and [Failure] on any other fault than
+    an empty filtered sample (which answers 0); no synopsis the sampler
+    draws reaches that raise. *)
 
 val total_tuples : t -> int
 (** Stored sample tuples across all synopses — the store's footprint. *)

@@ -142,9 +142,10 @@ let side_of_sample (sample : Sample.t) =
 
 (* ---------------- structural validation ---------------- *)
 
-(* Same checks, same wording as the historical per-query
+(* Same fault order and wording as the historical per-query
    [Estimate.validate_synopsis]; "first faulty entry" is first in the
-   canonical value order. *)
+   canonical value order. A second-level rate of 0 is valid: the sampler
+   clamps q_v to 0 when a budget fits only the sentries. *)
 
 let validations = Atomic.make 0
 let validation_runs () = Atomic.get validations
@@ -158,7 +159,7 @@ let validate_side label (s : side) =
     if not (Float.is_finite p) || p <= 0.0 then
       fault :=
         Some (Fault.Numeric { what = label ^ " sampling rate p_v"; value = p })
-    else if not (Float.is_finite q) || q <= 0.0 then
+    else if not (Float.is_finite q) || q < 0.0 then
       fault :=
         Some (Fault.Numeric { what = label ^ " sampling rate q_v"; value = q });
     incr i

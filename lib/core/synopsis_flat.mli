@@ -86,9 +86,10 @@ type t = {
       (** positions into [a]'s arrays, sorted by {!Value.compare} *)
   verdict : Fault.error option;
       (** memoized {e structural} validation: finite [N'], non-negative
-          tuple counts, no dangling B values, finite positive stored
-          rates — same checks, same fault order and wording as the
-          historical per-query [validate_synopsis] *)
+          tuple counts, no dangling B values, finite positive [p_v],
+          finite non-negative [q_v] (the sampler writes [q_v = 0] when a
+          budget fits only the sentries) — same fault order and wording
+          as the historical per-query [validate_synopsis] *)
 }
 
 val of_synopsis : Synopsis.t -> t

@@ -461,22 +461,16 @@ let handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b () =
                 let pa, pb =
                   if meta.m_swapped then (pred_b, pred_a) else (pred_a, pred_b)
                 in
-                (* [run_checked_flat]'s Ok value is bit-identical to
-                   [run]'s, and an empty filtered sample is [run]'s plain
-                   0.0 — mapping it back keeps server replies
-                   byte-identical to batch mode. *)
-                (match
-                   Csdl.Estimate.run_checked_flat ?pred_a:pa ?pred_b:pb syn
-                 with
-                | Ok b ->
-                    if Deadline.exceeded deadline then timed_out ()
-                    else Answered b.Csdl.Estimate.estimate
-                | Error (Fault.Empty_filtered_sample _) ->
-                    if Deadline.exceeded deadline then timed_out ()
-                    else Answered 0.0
-                | Error fault ->
-                    if Deadline.exceeded deadline then timed_out ()
-                    else degrade meta ~rung:"csdl" fault)
+                (* the same function and the same fault-to-value rule as
+                   [Store.estimate]: replies are byte-identical to batch *)
+                let result =
+                  Csdl.Estimate.(value (run_checked_flat ?pred_a:pa ?pred_b:pb syn))
+                in
+                if Deadline.exceeded deadline then timed_out ()
+                else
+                  match result with
+                  | Ok v -> Answered v
+                  | Error fault -> degrade meta ~rung:"csdl" fault
       in
       Obs.count t.obs
         ~labels:[ ("class", outcome_class outcome) ]

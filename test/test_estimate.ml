@@ -271,39 +271,44 @@ let test_breakdown_fields () =
       ~theta:0.5 profile
   in
   let synopsis = Csdl.Estimator.draw est (Prng.create 9) in
-  let b = Csdl.Estimate.run_with_breakdown synopsis in
+  let b =
+    Csdl.Fault.get_ok
+      (Csdl.Estimate.run_checked_flat (Csdl.Synopsis_flat.of_synopsis synopsis))
+  in
   Alcotest.(check bool) "selectivity in [0,1]" true
     (b.Csdl.Estimate.selectivity_a >= 0.0 && b.Csdl.Estimate.selectivity_a <= 1.0);
   Alcotest.(check (float 1e-9)) "unfiltered selectivity is 1" 1.0
     b.Csdl.Estimate.selectivity_a;
   Alcotest.(check bool) "contributing values positive" true
     (b.Csdl.Estimate.contributing_values > 0);
-  Alcotest.(check bool) "estimate matches run" true
-    (Csdl.Estimate.run synopsis = b.Csdl.Estimate.estimate)
+  Alcotest.(check bool) "estimate matches Estimator.estimate" true
+    (Csdl.Estimator.estimate est synopsis = b.Csdl.Estimate.estimate)
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate stored rates                                             *)
 (* ------------------------------------------------------------------ *)
 
-let poison_qv (s : Csdl.Sample.t) =
+let poison_qv q (s : Csdl.Sample.t) =
   let entries = Value.Tbl.create (Value.Tbl.length s.Csdl.Sample.entries) in
   Value.Tbl.iter
     (fun v (e : Csdl.Sample.entry) ->
-      Value.Tbl.replace entries v { e with Csdl.Sample.q_v = 0.0 })
+      Value.Tbl.replace entries v { e with Csdl.Sample.q_v = q })
     s.Csdl.Sample.entries;
   { s with Csdl.Sample.entries }
 
-let test_zero_qv_is_guarded () =
-  (* A synopsis whose stored q_v rates were zeroed (bit rot, a broken
-     writer): the unchecked path must not divide sampled counts by zero
-     into a silent inf — every zero-rate term is guarded to contribute
-     nothing — and the checked path must reject the synopsis with a typed
-     numeric fault instead of returning anything. *)
+let checked ?pred_a ?pred_b synopsis =
+  Csdl.Estimate.run_checked_flat ?pred_a ?pred_b
+    (Csdl.Synopsis_flat.of_synopsis synopsis)
+
+let test_corrupt_qv_is_guarded () =
+  (* A stored rate the sampler never writes (bit rot, a broken writer):
+     the checked path rejects the synopsis with a typed numeric fault
+     naming the rate instead of returning anything. Zero is not such a
+     rate — see [test_sampler_zero_qv_answers]. *)
   List.iter
-    (fun spec ->
+    (fun (spec, q) ->
       (* theta = 1 samples every tuple, so the draw is non-empty on any
-         PRNG stream and the checked path gets past the emptiness guards
-         to the rate validation this test is about *)
+         PRNG stream *)
       let est =
         Csdl.Estimator.prepare ~sample_first:`A spec ~theta:1.0
           (Lazy.force profile_ab)
@@ -312,29 +317,57 @@ let test_zero_qv_is_guarded () =
       let poisoned =
         {
           synopsis with
-          Csdl.Synopsis.sample_a = poison_qv synopsis.Csdl.Synopsis.sample_a;
-          sample_b = poison_qv synopsis.Csdl.Synopsis.sample_b;
+          Csdl.Synopsis.sample_a = poison_qv q synopsis.Csdl.Synopsis.sample_a;
+          sample_b = poison_qv q synopsis.Csdl.Synopsis.sample_b;
         }
       in
-      let unchecked = Csdl.Estimate.run poisoned in
-      Alcotest.(check bool)
-        "unchecked estimate stays finite" true
-        (Float.is_finite unchecked);
-      match Csdl.Estimate.run_checked poisoned with
+      match checked poisoned with
       | Error (Csdl.Fault.Numeric { what; _ }) ->
           Alcotest.(check bool)
             "fault names the q_v rate" true
-            (String.length what > 0
-            && String.ends_with ~suffix:"q_v" what)
+            (String.ends_with ~suffix:"q_v" what)
       | Error e ->
           Alcotest.failf "expected Numeric fault, got %s"
             (Csdl.Fault.error_to_string e)
-      | Ok _ -> Alcotest.fail "zero q_v must not pass the checked path")
-    [
-      Csdl.Spec.cs2;
-      Csdl.Spec.cs2l;
-      Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff;
-    ]
+      | Ok _ -> Alcotest.failf "q_v = %h must not pass the checked path" q)
+    (List.concat_map
+       (fun spec -> [ (spec, -0.5); (spec, Float.infinity) ])
+       [
+         Csdl.Spec.cs2;
+         Csdl.Spec.cs2l;
+         Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff;
+       ])
+
+let test_sampler_zero_qv_answers () =
+  (* 4,000 rows over 3 keys joined with 3 rows: at theta = 0.0005 the
+     budget (2 tuples) is below CSDL(1,diff)'s 3 first-side sentries, so
+     the sampler clamps every second-level rate to 0 and the sentries
+     alone carry Eq. 7. That is an answer, not a fault. *)
+  let left = table_of_counts [ (1, 1334); (2, 1333); (3, 1333) ] in
+  let right = table_of_counts [ (1, 1); (2, 1); (3, 1) ] in
+  let est =
+    Csdl.Estimator.prepare ~sample_first:`A
+      (Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_diff)
+      ~theta:0.0005 (profile_of left right)
+  in
+  let synopsis = Csdl.Estimator.draw est (Prng.create 5) in
+  let flat = Csdl.Synopsis_flat.of_synopsis synopsis in
+  Alcotest.(check bool)
+    "every q_v is 0" true
+    (Array.for_all (fun q -> q = 0.0) flat.Csdl.Synopsis_flat.a.Csdl.Synopsis_flat.q_v);
+  List.iter
+    (fun pred_a ->
+      match checked ?pred_a synopsis with
+      | Ok b ->
+          Alcotest.(check bool)
+            "finite non-negative" true
+            (Float.is_finite b.Csdl.Estimate.estimate
+            && b.Csdl.Estimate.estimate >= 0.0);
+          Alcotest.(check (float 0.0))
+            "no DL input" 0.0 b.Csdl.Estimate.virtual_sample_size
+      | Error e ->
+          Alcotest.failf "expected Ok, got %s" (Csdl.Fault.error_to_string e))
+    [ None; Some (Predicate.Compare (Predicate.Le, "k", Value.Int 2)) ]
 
 (* ------------------------------------------------------------------ *)
 (* CSDL-Opt dispatch                                                   *)
@@ -465,8 +498,10 @@ let () =
         [ Alcotest.test_case "fields" `Quick test_breakdown_fields ] );
       ( "degenerate rates",
         [
-          Alcotest.test_case "zero q_v is guarded" `Quick
-            test_zero_qv_is_guarded;
+          Alcotest.test_case "corrupt q_v is guarded" `Quick
+            test_corrupt_qv_is_guarded;
+          Alcotest.test_case "sampler zero q_v answers" `Quick
+            test_sampler_zero_qv_answers;
         ] );
       ( "opt",
         [

@@ -185,11 +185,14 @@ let draw_synopsis profile seed =
   let est = Csdl.Estimator.prepare ~sample_first:`A spec ~theta:0.5 profile in
   Csdl.Estimator.draw est (Prng.create seed)
 
+let checked synopsis =
+  Csdl.Estimate.run_checked_flat (Csdl.Synopsis_flat.of_synopsis synopsis)
+
 let test_checked_zero_row_tables () =
   List.iter
     (fun pair ->
       let profile = profile_of pair in
-      (match Csdl.Estimate.run_checked (draw_synopsis profile 1) with
+      (match checked (draw_synopsis profile 1) with
       | Error (Fault.Empty_filtered_sample _) -> ()
       | Error f ->
           Alcotest.failf "expected Empty_filtered_sample, got %s"
@@ -202,7 +205,7 @@ let test_checked_zero_row_tables () =
 let test_checked_all_null_join_columns () =
   let profile = profile_of (nulls_only, dense) in
   Alcotest.(check int) "truth 0" 0 (Csdl.Profile.true_join_size profile);
-  (match Csdl.Estimate.run_checked (draw_synopsis profile 3) with
+  (match checked (draw_synopsis profile 3) with
   | Error (Fault.Empty_filtered_sample _) -> ()
   | Error f ->
       Alcotest.failf "expected Empty_filtered_sample, got %s"

@@ -428,7 +428,8 @@ let predicates =
 let estimates flat =
   List.map
     (fun (pred_a, pred_b) ->
-      Int64.bits_of_float (Csdl.Estimate.run_flat ~pred_a ~pred_b flat))
+      Csdl.Estimate.(value (run_checked_flat ~pred_a ~pred_b flat))
+      |> Csdl.Fault.get_ok |> Int64.bits_of_float)
     predicates
 
 (* Decode a store through a resolver that marks every table it returns,

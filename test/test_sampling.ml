@@ -232,30 +232,6 @@ let test_filtered_count_and_sentry () =
     (Csdl.Sample.sentry_passes sample none entry)
 
 (* ------------------------------------------------------------------ *)
-(* Diagnostics                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_diagnostics_accounting () =
-  let profile = Lazy.force profile_mid in
-  let spec = Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_theta in
-  let resolved = resolve spec 0.3 profile in
-  let s = Csdl.Synopsis.draw (Prng.create 21) ~profile ~resolved in
-  let d = Csdl.Diagnostics.of_synopsis profile s in
-  Alcotest.(check int) "actual size matches synopsis"
-    (Csdl.Synopsis.size_tuples s)
-    d.Csdl.Diagnostics.actual_size;
-  Alcotest.(check int) "side A tuple split"
-    (Csdl.Sample.total_tuples s.Csdl.Synopsis.sample_a)
-    (d.Csdl.Diagnostics.side_a.Csdl.Diagnostics.sentry_tuples
-    + d.Csdl.Diagnostics.side_a.Csdl.Diagnostics.sampled_tuples);
-  (* p = 1 covers every shared value *)
-  Alcotest.(check (float 1e-9)) "full coverage at p=1" 1.0
-    d.Csdl.Diagnostics.shared_coverage;
-  (* pretty-printer stays total *)
-  let rendered = Format.asprintf "%a" Csdl.Diagnostics.pp d in
-  Alcotest.(check bool) "report non-empty" true (String.length rendered > 40)
-
-(* ------------------------------------------------------------------ *)
 (* Statistical: first-level inclusion ~ Bernoulli(p_v)                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -362,7 +338,6 @@ let () =
             test_sampling_deterministic_per_seed;
           Alcotest.test_case "filtered counts" `Quick test_filtered_count_and_sentry;
           Alcotest.test_case "first-level rate" `Slow test_first_level_rate;
-          Alcotest.test_case "diagnostics" `Quick test_diagnostics_accounting;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

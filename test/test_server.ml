@@ -37,7 +37,12 @@ let tables =
      let b = table_of_counts [ (1, 5); (2, 16); (3, 4) ] in
      let fk = table_of_counts [ (1, 3); (2, 2); (3, 4) ] in
      let pk = table_of_counts (List.init 10 (fun i -> (i, 1))) in
-     [ ("a", a); ("b", b); ("fk", fk); ("pk", pk) ])
+     (* a low-jvd pair: 4,000 rows over 3 keys against 3 rows *)
+     let big = table_of_counts [ (1, 1334); (2, 1333); (3, 1333) ] in
+     let tiny = table_of_counts [ (1, 1); (2, 1); (3, 1) ] in
+     [
+       ("a", a); ("b", b); ("fk", fk); ("pk", pk); ("big", big); ("tiny", tiny);
+     ])
 
 let resolve_table name = List.assoc name (Lazy.force tables)
 
@@ -850,6 +855,74 @@ let test_engine_zero_tuple_store_does_not_drift () =
           Alcotest.(check bool) "no drift fault" true (d.Engine.d_fault = None)
       | l -> Alcotest.failf "expected one drift status, got %d" (List.length l))
 
+(* The daemon answers what batch prints where the sampler left the first
+   side nothing but sentries: a budget that fits only the sentries (every
+   q_v clamped to 0), and a predicate that filters every sampled row but
+   the sentries out of an ordinary synopsis. Both used to degrade to the
+   per-key prior. *)
+let test_engine_answers_sentry_only_as_batch () =
+  let check ~what ~key ta tb estimator ~pred_a =
+    let store = Csdl.Store.create () in
+    let synopsis = Csdl.Estimator.draw estimator (Prng.create 7) in
+    Csdl.Store.add store ~key ~table_a:ta ~table_b:tb estimator synopsis;
+    let path = Filename.temp_file "repro-server" ".synopses" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Csdl.Store.save store path;
+        let engine = engine_exn Engine.default_config path in
+        let pred_a = pred_a synopsis in
+        let want = Csdl.Store.estimate store ~key ?pred_a in
+        match
+          Engine.handle engine ~deadline:(far_deadline Clock.wall) ~key ?pred_a ()
+        with
+        | Engine.Answered got ->
+            if Int64.bits_of_float got <> Int64.bits_of_float want then
+              Alcotest.failf "%s: server %h vs batch %h" what got want
+        | Engine.Degraded { trace; _ } ->
+            Alcotest.failf "%s: degraded (%s)" what (Csdl.Fault.trace_to_string trace)
+        | o -> Alcotest.failf "%s: got %s" what (Engine.outcome_class o))
+  in
+  let profile ta tb =
+    Csdl.Profile.of_tables (resolve_table ta) "k" (resolve_table tb) "k"
+  in
+  let low_jvd = Csdl.Opt.prepare ~theta:0.0005 (profile "big" "tiny") in
+  let zero_q =
+    Csdl.Synopsis_flat.of_synopsis (Csdl.Estimator.draw low_jvd (Prng.create 7))
+  in
+  Alcotest.(check string) "fixture: CSDL(1,diff)" "CSDL(1,diff)"
+    (Csdl.Spec.to_string (Csdl.Estimator.spec low_jvd));
+  Alcotest.(check bool) "fixture: every q_v is 0" true
+    (Array.for_all (fun q -> q = 0.0) zero_q.Csdl.Synopsis_flat.a.Csdl.Synopsis_flat.q_v);
+  List.iter
+    (fun pred_a -> check ~what:"q_v = 0" ~key:"big-tiny" "big" "tiny" low_jvd ~pred_a:(fun _ -> pred_a))
+    [ None; Some (Predicate.Compare (Predicate.Le, "k", Value.Int 2)) ];
+  (* keep exactly the sentry tuple of each first-side value: (k, attr)
+     names a row *)
+  let sentries_only (synopsis : Csdl.Synopsis.t) =
+    let sample = synopsis.Csdl.Synopsis.sample_a in
+    Value.Tbl.fold
+      (fun _ (e : Csdl.Sample.entry) acc ->
+        match e.Csdl.Sample.sentry_row with
+        | None -> acc
+        | Some r ->
+            let row = Table.row sample.Csdl.Sample.table r in
+            Predicate.Or
+              ( acc,
+                Predicate.And
+                  ( Predicate.Compare (Predicate.Eq, "k", row.(0)),
+                    Predicate.Compare (Predicate.Eq, "attr", row.(1)) ) ))
+      sample.Csdl.Sample.entries Predicate.False
+    |> Option.some
+  in
+  let ordinary =
+    Csdl.Estimator.prepare ~sample_first:`A
+      (Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff)
+      ~theta:0.3 (profile "a" "b")
+  in
+  check ~what:"sentry-only first side" ~key:"a-b" "a" "b" ordinary
+    ~pred_a:sentries_only
+
 (* ---------------- server + client over a real socket ---------------- *)
 
 let test_server_socket_roundtrip () =
@@ -1060,6 +1133,8 @@ let () =
             test_engine_miss_rejects_stale_snapshot;
           Alcotest.test_case "fresh 0-tuple store does not drift" `Quick
             test_engine_zero_tuple_store_does_not_drift;
+          Alcotest.test_case "sentry-only first side answers as batch" `Quick
+            test_engine_answers_sentry_only_as_batch;
         ] );
       ( "socket",
         [

@@ -65,8 +65,11 @@ let preds =
 let check_flat_equal what reference flat =
   List.iter
     (fun (pred_a, pred_b) ->
-      let e = Csdl.Estimate.run_flat ~pred_a ~pred_b reference
-      and f = Csdl.Estimate.run_flat ~pred_a ~pred_b flat in
+      let estimate flat =
+        Csdl.Fault.get_ok
+          Csdl.Estimate.(value (run_checked_flat ~pred_a ~pred_b flat))
+      in
+      let e = estimate reference and f = estimate flat in
       if e <> f then Alcotest.failf "%s: flat %h <> reference %h" what f e)
     preds
 

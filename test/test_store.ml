@@ -153,7 +153,7 @@ let test_roundtrip_bit_identical_all_variants () =
    per value, the predicate re-evaluated through [Sample.filtered_count].
    Values are visited in the canonical [Shard_key] order — the one order
    every float accumulation uses since the sharded-synopsis refactor. The
-   production path ([Estimate.run], a linear pass over Synopsis_flat
+   production path ([Estimate.run_checked_flat], a linear pass over Synopsis_flat
    columns since the columnar refactor) must agree bit for bit — same
    scan order, same float accumulation order, same zero-count guards. *)
 let legacy_reference_estimate ~pred_a ~pred_b (synopsis : Csdl.Synopsis.t) =
@@ -275,7 +275,13 @@ let test_flat_matches_legacy_reference () =
           let synopsis = Csdl.Estimator.draw estimator (Prng.create 42) in
           List.iter
             (fun (pred_a, pred_b) ->
-              let flat = Csdl.Estimate.run ~pred_a ~pred_b synopsis in
+              let flat =
+                Csdl.Estimate.(
+                  value
+                    (run_checked_flat ~pred_a ~pred_b
+                       (Csdl.Synopsis_flat.of_synopsis synopsis)))
+                |> Csdl.Fault.get_ok
+              in
               let reference =
                 legacy_reference_estimate ~pred_a ~pred_b synopsis
               in
@@ -571,7 +577,8 @@ let flat_estimates (s : Csdl.Synopsis_store.stored) =
         if s.Csdl.Synopsis_store.swapped then (pred_b, pred_a)
         else (pred_a, pred_b)
       in
-      Csdl.Estimate.run_flat ~pred_a ~pred_b flat)
+      Csdl.Fault.get_ok
+        Csdl.Estimate.(value (run_checked_flat ~pred_a ~pred_b flat)))
     [
       (Predicate.True, Predicate.True);
       ( Predicate.Compare (Predicate.Lt, "attr", Value.Int 9),

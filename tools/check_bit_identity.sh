@@ -7,12 +7,16 @@
 # working tree, <repo>-base; it must not exist yet, and is removed on
 # exit) and the working tree itself, then cmp's the two builds' outputs:
 #   1. `bench/main.exe --smoke` stdout (the CI smoke grid);
-#   2. `repro_cli batch` over one generated IMDB store per scale, 0.1 and
-#      0.005: the eight JOB join graphs at theta 0.05, each answering a fixed query file of the JOB
-#      predicates and sweeps of their constants. The `batch:` timing line
-#      is dropped; everything else, stderr included, must match.
+#   2. `repro_cli batch` over generated IMDB stores of the eight JOB join
+#      graphs, at theta 0.05 for scales 0.1 and 0.005 and at theta 0.0001
+#      for scale 0.1 (where CSDL-Opt's budget fits only the sentries of
+#      mc_ct and every q_v is 0), each graph answering a fixed query file
+#      of the JOB predicates and sweeps of their constants. The `batch:`
+#      timing line is dropped; everything else, stderr included, must
+#      match.
 # Both sides read the same generated CSVs; each builds its own store, and
-# the two stores must match byte for byte too.
+# the two stores must match byte for byte too, the drift sentinels'
+# recorded baselines (their build-time q-errors) included.
 # Outputs land in $OUT (default _build/bit-identity). Exit 0 when every
 # output matches, 1 at the first difference (named, with its diff head).
 # A change that is meant to move estimates skips this check.
@@ -74,9 +78,14 @@ queries() {
 }
 
 keys="mc_ct mi_it t_mc t_mi t_mk mk_k at_mk ci_t"
-for scale in 0.1 0.005; do
+for run in 0.1:0.05 0.005:0.05 0.1:0.0001; do
+  scale=${run%%:*}
+  theta=${run#*:}
+  name=$scale
+  [ "$theta" = 0.05 ] || name=$scale-theta$theta
   data=$out/imdb-$scale
-  "$new_cli" generate-imdb --scale "$scale" --out "$data" >/dev/null
+  [ -d "$data" ] ||
+    "$new_cli" generate-imdb --scale "$scale" --out "$data" >/dev/null
   graphs="$data/movie_companies.csv:company_type_id,$data/company_type.csv:id
 $data/movie_info_idx.csv:info_type_id,$data/info_type.csv:id
 $data/title.csv:id,$data/movie_companies.csv:movie_id
@@ -94,16 +103,16 @@ $data/cast_info.csv:movie_id,$data/title.csv:id"
   for side in new old; do
     if [ $side = new ]; then cli=$new_cli; else cli=$old_cli; fi
     # a relative store path keeps the build's stdout free of the side
-    mkdir -p "$out/$side-$scale"
-    (cd "$out/$side-$scale" &&
-      "$cli" synopsis-build "$@" --theta 0.05 --store store.bin
+    mkdir -p "$out/$side-$name"
+    (cd "$out/$side-$name" &&
+      "$cli" synopsis-build "$@" --theta "$theta" --store store.bin
       for key in $keys; do
         queries "$key" > "q-$key.txt"
         "$cli" batch "$key" --store store.bin --queries "q-$key.txt" 2>&1 |
           grep -v '^batch:'
-      done) > "$out/batch-$scale.$side" 2>&1
-    cp "$out/$side-$scale/store.bin" "$out/store-$scale.$side"
+      done) > "$out/batch-$name.$side" 2>&1
+    cp "$out/$side-$name/store.bin" "$out/store-$name.$side"
   done
-  same "store-$scale"
-  same "batch-$scale"
+  same "batch-$name"
+  same "store-$name"
 done
