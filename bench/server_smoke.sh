@@ -6,9 +6,11 @@
 # "shutdown complete", (4) the same byte identity through a one-slot
 # cache, where every query file starts on a cache miss that reads the
 # store, (5) a brief --chaos run to inject faults and still serve every
-# query without crashing, and (6) the same byte identity, with no
-# degraded reply, on a store whose first side holds only sentries. Run
-# from the bench build directory by the @server-smoke alias.
+# query without crashing, (6) the same byte identity, with no degraded
+# reply, on a store whose first side holds only sentries, and (7) a
+# predicate on an unknown column failing batch with exit 1 and getting an
+# err reply from the daemon. Run from the bench build directory by the
+# @server-smoke alias.
 set -eu
 
 PORT=7457
@@ -188,15 +190,47 @@ grep -q 'built lj: CSDL(1,diff)' lj-build.txt
 ../bin/repro_cli.exe batch lj --store lj-synopses.bin \
   --queries lj-queries.txt > lj-batch-out.txt
 
+# a predicate on a column the table lacks is the client's mistake: batch
+# exits 1 with a located error line and prints no estimate, and the
+# daemon replies err (counted in class err) instead of a degraded prior
+printf 'nope < 3 ;; \n' > lj-bad-column.txt
+bad='bad input: Predicate: no column named "nope"'
+status=0
+../bin/repro_cli.exe batch lj --store lj-synopses.bin \
+  --queries lj-bad-column.txt > lj-bad-batch-out.txt \
+  2> lj-bad-batch-err.txt || status=$?
+if [ "$status" -ne 1 ] \
+  || ! grep -qxF "error: lj-bad-column.txt: line 1 (q0000): $bad" \
+    lj-bad-batch-err.txt \
+  || [ -s lj-bad-batch-out.txt ]; then
+  echo "unknown column: batch exited $status" >&2
+  cat lj-bad-batch-err.txt >&2
+  exit 1
+fi
+
 ../bin/repro_cli.exe serve --store lj-synopses.bin --port $PORT \
   2> lj-server.log &
 SRV=$!
 wait_ready lj-server.log
 ../bin/repro_cli.exe client --port $PORT --key lj \
   --queries lj-queries.txt > lj-client-out.txt
+
+status=0
+../bin/repro_cli.exe client --port $PORT --key lj \
+  --queries lj-bad-column.txt > lj-bad-client-out.txt \
+  2> lj-bad-client-err.txt || status=$?
+../bin/repro_cli.exe client --port $PORT --verb metrics > lj-metrics.txt
 kill -TERM $SRV
 wait $SRV
 grep -q 'shutdown complete' lj-server.log
+
+if [ "$status" -ne 1 ] \
+  || ! grep -qxF "error: q0000: $bad" lj-bad-client-err.txt; then
+  echo "unknown column: the client exited $status" >&2
+  cat lj-bad-client-out.txt lj-bad-client-err.txt >&2
+  exit 1
+fi
+grep -qxF 'server_outcome{class="err"} 1' lj-metrics.txt
 
 if grep -q degraded lj-client-out.txt; then
   echo "sentry-only store: the daemon degraded" >&2
@@ -205,3 +239,4 @@ if grep -q degraded lj-client-out.txt; then
 fi
 cmp lj-batch-out.txt lj-client-out.txt
 echo "sentry-only store: 5 estimates byte-identical, none degraded"
+echo "unknown column: batch exits 1, the daemon replies err"

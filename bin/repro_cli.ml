@@ -1048,8 +1048,14 @@ let batch key store queries_file trace bench_json =
   | Ok queries ->
       let prov = Provenance.create () in
       let rows =
-        Repro_benchlib.Batch.run ~obs ~prov ~store:s ~key
-          ~load_wall_seconds:load_span.Clock.wall_seconds queries
+        match
+          Repro_benchlib.Batch.run ~obs ~prov ~store:s ~key
+            ~load_wall_seconds:load_span.Clock.wall_seconds queries
+        with
+        | rows -> rows
+        | exception Failure reason ->
+            Printf.eprintf "error: %s: %s\n" queries_file reason;
+            exit 1
       in
       (* stdout is exactly one "<id>: <estimate>" line per query, full
          float precision — byte-comparable against unbatched runs *)

@@ -2,7 +2,12 @@ open Repro_relation
 module Clock = Repro_util.Clock
 module Obs = Repro_obs.Obs
 
-type query = { q_id : string; q_left : Predicate.t; q_right : Predicate.t }
+type query = {
+  q_id : string;
+  q_line : int;
+  q_left : Predicate.t;
+  q_right : Predicate.t;
+}
 
 let query_id i = Printf.sprintf "q%04d" i
 
@@ -37,7 +42,10 @@ let parse_queries contents =
           in
           let* q_left = parse_side ~line:line_number "left" left in
           let* q_right = parse_side ~line:line_number "right" right in
-          Ok ({ q_id = query_id i; q_left; q_right } :: rev, i + 1))
+          Ok
+            ( { q_id = query_id i; q_line = line_number; q_left; q_right }
+              :: rev,
+              i + 1 ))
       (Ok ([], 0))
       (List.mapi (fun i raw -> (i + 1, raw)) lines)
   in
@@ -75,8 +83,14 @@ let run ?(obs = Obs.null) ?(prov = Provenance.null) ?(clock = Clock.wall)
       (fun q ->
         let estimate, span =
           Clock.time ~wall_clock:clock (fun () ->
-              Csdl.Store.estimate ~obs ~pred_a:q.q_left ~pred_b:q.q_right
-                store ~key)
+              match
+                Csdl.Store.estimate ~obs ~pred_a:q.q_left ~pred_b:q.q_right
+                  store ~key
+              with
+              | v -> v
+              | exception Failure reason ->
+                  failwith
+                    (Printf.sprintf "line %d (%s): %s" q.q_line q.q_id reason))
         in
         Provenance.add prov
           {

@@ -9,6 +9,7 @@ open Repro_relation
 
 type query = {
   q_id : string;  (** ["q%04d"], numbering surviving lines from 0 *)
+  q_line : int;  (** 1-based line of the query in its file *)
   q_left : Predicate.t;
   q_right : Predicate.t;
 }
@@ -45,6 +46,9 @@ val run :
     [wall_seconds] is the summed online wall and whose
     [offline_wall_seconds] is the un-amortised [load_wall_seconds] — the
     record the regression gate's online-wall bound reads. Raises
-    [Not_found] for an unknown key, like {!Csdl.Store.estimate}. *)
+    [Not_found] for an unknown key, like {!Csdl.Store.estimate}, and
+    [Failure "line N (ID): REASON"] for the first query
+    {!Csdl.Store.estimate} refuses (e.g. a predicate on a column the
+    table lacks: ["bad input: Predicate: no column named ..."]). *)
 
 val total_online_wall : result_row list -> float

@@ -55,16 +55,33 @@ val run_checked_flat :
       budget fits only the sentries.
     - An empty filtered sample on either side gives
       [Error (Empty_filtered_sample side)] — "no evidence", the regime the
-      paper reports as infinite q-error. {!value} maps it to 0.
+      paper reports as infinite q-error. {!value} maps it to 0. It is
+      checked right after the two filter scans, before any solve, so no
+      learner runs behind an empty side (and its [dl_config] is not
+      looked at).
     - A filtered first side that holds only sentries is valid input. The
       discrete learner is not called; every x_v is 0 and the sentry
       indicators of Eq. 7 carry the estimate.
     - For a discrete-learning spec, an invalid [dl_config] gives
       [Error (Bad_input _)] whether or not the learner runs; any other
       fault of {!Discrete_learning.learn_checked} is returned as is.
+    - A predicate naming a column its table lacks gives
+      [Error (Bad_input "Predicate: no column named \"c\"")].
     - A non-finite or negative estimate gives [Error (Numeric _)], and a
-      stray exception (a structurally corrupt synopsis, a predicate on an
-      unknown column) [Error (Corrupt_synopsis _)].
+      stray exception (a structurally corrupt synopsis)
+      [Error (Corrupt_synopsis _)].
+
+    {b Learned once per synopsis.} With [pred_a] = [Predicate.True] (matched
+    by pattern: an equivalent predicate such as [k >= 0] does not count), a
+    discrete-learning spec, no [dl_config] and [virtual_sample] on, the
+    learner's input depends on the synopsis alone. The first such call on
+    a flat runs the learner and keeps its x_v per first-side position and
+    its virtual sample size (or its fault) in the flat's
+    {!Synopsis_flat.t.unfiltered_dl} slot. Later calls read them, and
+    still filter the second side and sum Eq. 7 per query. Every other
+    call solves per request. The answers are the same bits either way;
+    only the [dl.*] and [lp.*] metrics, which count solves, see the
+    difference.
 
     [virtual_sample] (default [true]) applies Eq. 6's virtual-sample
     correction before discrete learning; [false] feeds raw counts to the
@@ -74,7 +91,7 @@ val run_checked_flat :
     A live [obs] context wraps the run in an [estimate.run] span
     (attribute [method]), counts runs ([estimate.runs{method}]) and empty
     filtered samples ([estimate.degenerate]), and forwards to the DL/LP
-    metrics. *)
+    metrics of the solves it runs. *)
 
 val value : (breakdown, Fault.error) result -> (float, Fault.error) result
 (** The answer a caller reports: the estimate, or 0 for an empty filtered

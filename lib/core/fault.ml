@@ -22,7 +22,10 @@ let error_to_string = function
   | Lp_infeasible -> "LP infeasible"
   | Lp_unbounded -> "LP unbounded"
   | Lp_iteration_cap -> "LP iteration cap exhausted"
-  | Numeric { what; value } -> Printf.sprintf "non-finite %s (%h)" what value
+  | Numeric { what; value } ->
+      Printf.sprintf "%s %s (%h)"
+        (if Float.is_finite value then "out-of-range" else "non-finite")
+        what value
   | Empty_filtered_sample side ->
       Printf.sprintf "empty filtered sample on side %s" (side_to_string side)
   | Corrupt_synopsis reason -> "corrupt synopsis: " ^ reason

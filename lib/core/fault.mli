@@ -50,6 +50,11 @@ type error =
           drifted under delta maintenance) *)
 
 val error_to_string : error -> string
+(** One line of text per fault. A [Numeric] fault reads ["non-finite WHAT
+    (VALUE)"] for NaN or an infinity and ["out-of-range WHAT (VALUE)"] for
+    a finite value outside its domain (a negative [q_v], a [p_v] of 0),
+    with VALUE in hexadecimal ([%h]), so the exact bits show. *)
+
 val pp_error : Format.formatter -> error -> unit
 
 val get_ok : ?context:string -> ('a, error) result -> 'a

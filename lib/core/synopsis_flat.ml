@@ -20,6 +20,8 @@ type side = {
   q_v : float array;
 }
 
+type learned = { x_v : float array; virtual_sample_size : float }
+
 type t = {
   resolved : Budget.t;
   n_prime : float;
@@ -30,6 +32,7 @@ type t = {
   b_to_a : int array;
   sorted_a : int array;
   verdict : Fault.error option;
+  unfiltered_dl : (learned, Fault.error) result option Atomic.t;
 }
 
 (* Flatten one sample. Values are laid out in the canonical shard-hash
@@ -215,6 +218,7 @@ let assemble (syn : Synopsis.t) ~a ~b =
     b_to_a;
     sorted_a;
     verdict;
+    unfiltered_dl = Atomic.make None;
   }
 
 let of_synopsis (syn : Synopsis.t) =

@@ -14,7 +14,12 @@
       by index instead of a [Value.Tbl.find_opt] per value per query;
     - a sorted value index over the first side for point lookups;
     - the memoized validation verdict of the synopsis, so checked
-      estimation validates once per load instead of once per query.
+      estimation validates once per load instead of once per query;
+    - one write-once slot ({!t.unfiltered_dl}) for the discrete learner's
+      output on the unfiltered first side, filled by the first estimate
+      that needs it rather than at flatten time, so the solve runs once
+      per synopsis instead of once per query. It is the only field that
+      changes after construction.
 
     A flat view holds only what an estimate reads: the sampled tuples
     (materialized), each side's schema and the synopsis' scalars. It keeps
@@ -70,6 +75,17 @@ type side = {
   q_v : float array;
 }
 
+(** What the discrete learner gives on the {e unfiltered} first side:
+    plain floats, never the learner itself (its count-class memo and
+    scratch array are mutable, so it cannot be shared across domains). *)
+type learned = {
+  x_v : float array;
+      (** x_v of Eq. 7 per first-side position: the learned probability
+          of the value's virtual count, 0 for a value with no sampled row
+          or a rate clamped to [q_v = 0] *)
+  virtual_sample_size : float;  (** n of the DL input; 0 for an empty one *)
+}
+
 type t = {
   resolved : Budget.t;  (** the source synopsis' resolved budget and rates *)
   n_prime : float;  (** the source synopsis' [N'] *)
@@ -90,6 +106,16 @@ type t = {
           finite non-negative [q_v] (the sampler writes [q_v = 0] when a
           budget fits only the sentries) — same fault order and wording
           as the historical per-query [validate_synopsis] *)
+  unfiltered_dl : (learned, Fault.error) result option Atomic.t;
+      (** the discrete learner's output, or its fault, on the unfiltered
+          first side: with no predicate there its input depends on the
+          synopsis alone. Empty at construction, so flattening never runs
+          the learner. {!Estimate.run_checked_flat} fills it on the first
+          estimate of a discrete-learning spec with [pred_a] =
+          [Predicate.True], no [dl_config] and the virtual sample on, and
+          reads it on every later one; any other call solves per request.
+          Filled once with [Atomic.compare_and_set]: domains that race for
+          it compute the same bits, and the loser's copy is dropped. *)
 }
 
 val of_synopsis : Synopsis.t -> t

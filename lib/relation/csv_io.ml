@@ -188,18 +188,24 @@ let bad_arity s r arity =
 
 (* ---------------- fields to values ---------------- *)
 
-(* The narrowest type, no narrower than [ty], that the field fits. A field
-   the scanner read as a decimal int fits int and float alike. *)
-let widen ty s f =
-  match ty with
-  | Schema.T_string -> ty
-  | _ when field_len s f = 0 || fast_int s f <> min_int -> ty
-  | _ -> (
-      let raw = field_string s f in
-      match ty with
-      | Schema.T_int when int_of_string_opt raw <> None -> Schema.T_int
-      | _ when float_of_string_opt raw <> None -> Schema.T_float
-      | _ -> Schema.T_string)
+(* A column's type is the narrowest one that every field fits, so it
+   does not depend on row order. [fit] holds what the column's fields
+   read so far all fit, as two bits: 1 when [int_of_string] reads each,
+   2 when [float_of_string] does; [fits s f fit] narrows it by field [f].
+   An empty field, or one the scanner read as a decimal int, fits both.
+   [0b101], [0o17] or [0u5] fit int but not float, so a column mixing
+   them with [1.5] fits neither and reads as string. *)
+let fits s f fit =
+  if field_len s f = 0 || fast_int s f <> min_int then fit
+  else
+    let raw = field_string s f in
+    (if fit land 1 <> 0 && int_of_string_opt raw <> None then 1 else 0)
+    lor if fit land 2 <> 0 && float_of_string_opt raw <> None then 2 else 0
+
+let type_of_fit fit =
+  if fit land 1 <> 0 then Schema.T_int
+  else if fit land 2 <> 0 then Schema.T_float
+  else Schema.T_string
 
 let cell ty s f =
   if field_len s f = 0 then Value.Null
@@ -309,13 +315,15 @@ let read_auto path =
     if count_of s r < 0 then failwith (unterminated s r)
   done;
   let arity = count_of s 0 in
-  let types = Array.make arity Schema.T_int in
+  let fit = Array.make arity 3 in
   for r = 1 to n - 1 do
     if count_of s r <> arity then failwith (bad_arity s r arity);
     for j = 0 to arity - 1 do
-      types.(j) <- widen types.(j) s (first_of s r + j)
+      (* a column already down to string parses no further field *)
+      if fit.(j) <> 0 then fit.(j) <- fits s (first_of s r + j) fit.(j)
     done
   done;
+  let types = Array.map type_of_fit fit in
   let schema =
     Schema.make (List.init arity (fun j -> (field_string s j, types.(j))))
   in

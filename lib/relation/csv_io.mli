@@ -67,14 +67,14 @@ val read_auto : string -> Table.t
     (int if every non-empty field parses as an int, else float if every
     non-empty field parses as a number, else string; parsing is
     [int_of_string] / [float_of_string], so [0x1F], [1_000] or [nan]
-    count). Failures, in the order they are checked:
+    count). The inferred schema does not depend on the order of the data
+    rows: a field that reads only as an int ([0b101], [0o17], [0u5]) in a
+    column holding a non-int such as [1.5] makes the column a string
+    column. Failures, in the order they are checked:
     - [Sys_error] when the file cannot be opened or read;
     - [Failure "empty CSV file"] for a file of zero bytes;
     - [Failure "line N: unterminated quote in field K"] for the first such
       line anywhere in the file, header included;
     - [Failure "line N: expected A fields, got B"] for the first record,
       in file order, whose field count differs from the header's;
-    - [Invalid_argument] from {!Schema.make} for a duplicate header name;
-    - [Failure] from [float_of_string] for a field that widened its
-      column to float as an int but does not read as a float ([0b101],
-      say). *)
+    - [Invalid_argument] from {!Schema.make} for a duplicate header name. *)

@@ -232,7 +232,7 @@ let create ?(obs = Obs.null) ?(clock = Clock.wall) ?(sleep = Clock.sleepf)
       Obs.count obs "server.requests.total" 0;
       List.iter
         (fun cls -> Obs.count obs ~labels:[ ("class", cls) ] "server.outcome" 0)
-        [ "answered"; "degraded"; "deadline_exceeded" ];
+        [ "answered"; "degraded"; "deadline_exceeded"; "err" ];
       List.iter
         (fun mode ->
           Obs.count obs ~labels:[ ("mode", mode) ] "server.chaos.injected" 0)
@@ -419,11 +419,13 @@ type outcome =
   | Answered of float
   | Degraded of { value : float; trace : Fault.trace }
   | Deadline_exceeded of Fault.error
+  | Rejected of Fault.error
 
 let outcome_class = function
   | Answered _ -> "answered"
   | Degraded _ -> "degraded"
   | Deadline_exceeded _ -> "deadline_exceeded"
+  | Rejected _ -> "err"
 
 let degrade meta ~rung fault =
   Degraded { value = meta.m_prior; trace = [ { Fault.rung; fault } ] }
@@ -470,6 +472,9 @@ let handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b () =
                 else
                   match result with
                   | Ok v -> Answered v
+                  (* the request's own mistake (a predicate on a column the
+                     table lacks): no fall-back answers it *)
+                  | Error (Fault.Bad_input _ as fault) -> Rejected fault
                   | Error fault -> degrade meta ~rung:"csdl" fault
       in
       Obs.count t.obs

@@ -114,10 +114,13 @@ type outcome =
   | Answered of float
   | Degraded of { value : float; trace : Csdl.Fault.trace }
   | Deadline_exceeded of Csdl.Fault.error
+  | Rejected of Csdl.Fault.error
+      (** the request itself is invalid ([Bad_input]: a predicate names a
+          column the table lacks); no fall-back answers it *)
 
 val outcome_class : outcome -> string
-(** ["answered"] / ["degraded"] / ["deadline_exceeded"] — the [class]
-    label of the [server.outcome] counter. *)
+(** ["answered"] / ["degraded"] / ["deadline_exceeded"] / ["err"] — the
+    [class] label of the [server.outcome] counter. *)
 
 type detail = {
   cache_hit : bool;  (** synopsis came straight from the LRU cache *)

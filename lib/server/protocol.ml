@@ -125,6 +125,7 @@ let one_line s =
    output compares parsed values, but err/health/ready lines are grepped
    raw. *)
 let id_tag = function None -> "" | Some rid -> "id=" ^ rid ^ " "
+let err_line ?id msg = "err " ^ id_tag id ^ one_line msg
 
 let render_outcome ?id outcome =
   let tag = id_tag id in
@@ -136,11 +137,10 @@ let render_outcome ?id outcome =
   | Engine.Deadline_exceeded fault ->
       Printf.sprintf "deadline_exceeded %s;; %s" tag
         (one_line (Fault.error_to_string fault))
+  | Engine.Rejected fault -> err_line ?id (Fault.error_to_string fault)
 
 let shed_line ?id ~retry_after_s () =
   Printf.sprintf "shed %sretry_after=%.3f" (id_tag id) retry_after_s
-
-let err_line ?id msg = "err " ^ id_tag id ^ one_line msg
 
 type reply =
   | R_ok of float

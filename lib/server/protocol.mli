@@ -33,7 +33,7 @@
       degraded [id=<t>] <%.17g> ;; <downgrade trace>   (prior + honest trace)
       deadline_exceeded [id=<t>] ;; <fault>
       shed [id=<t>] retry_after=<seconds>              (load was shed)
-      err [id=<t>] <message>                  (protocol error / unknown key)
+      err [id=<t>] <message>   (protocol error / unknown key / unknown column)
       ok <n>\n<n bytes>                                (metrics body)
       ok window=... p50=...                            (slo snapshot line)
     v}

@@ -230,7 +230,7 @@ let handle_request t ~conn ~first oc line =
           match outcome with
           | Engine.Answered v -> v
           | Engine.Degraded { value; _ } -> value
-          | Engine.Deadline_exceeded _ -> Float.nan
+          | Engine.Deadline_exceeded _ | Engine.Rejected _ -> Float.nan
         in
         let rung =
           match outcome with

@@ -322,10 +322,18 @@ let test_corrupt_qv_is_guarded () =
         }
       in
       match checked poisoned with
-      | Error (Csdl.Fault.Numeric { what; _ }) ->
+      | Error (Csdl.Fault.Numeric { what; _ } as fault) ->
           Alcotest.(check bool)
             "fault names the q_v rate" true
-            (String.ends_with ~suffix:"q_v" what)
+            (String.ends_with ~suffix:"q_v" what);
+          (* only NaN and the infinities are "non-finite"; -0.5 is a
+             finite rate out of its range *)
+          Alcotest.(check string)
+            "fault text"
+            (Printf.sprintf "%s side A sampling rate q_v (%h)"
+               (if Float.is_finite q then "out-of-range" else "non-finite")
+               q)
+            (Csdl.Fault.error_to_string fault)
       | Error e ->
           Alcotest.failf "expected Numeric fault, got %s"
             (Csdl.Fault.error_to_string e)

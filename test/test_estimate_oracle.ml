@@ -8,6 +8,7 @@
 
 open Repro_relation
 module Prng = Repro_util.Prng
+module Obs = Repro_obs.Obs
 module Oracle = Estimate_oracle
 
 let schema =
@@ -128,6 +129,16 @@ let empty_dl_input c (o : Oracle.breakdown) =
 let bits = Int64.bits_of_float
 let invalid_config = { Csdl.Discrete_learning.default_config with e = 0.01 }
 
+(* Every breakdown field equal, floats by their bits. *)
+let same_breakdown (b : Csdl.Estimate.breakdown) (o : Oracle.breakdown) =
+  let open Csdl.Estimate in
+  bits b.estimate = bits o.Oracle.estimate
+  && b.filtered_a_tuples = o.Oracle.filtered_a_tuples
+  && b.filtered_b_tuples = o.Oracle.filtered_b_tuples
+  && bits b.selectivity_a = bits o.Oracle.selectivity_a
+  && bits b.virtual_sample_size = bits o.Oracle.virtual_sample_size
+  && b.contributing_values = o.Oracle.contributing_values
+
 let check_case seed =
   let c = draw_case seed in
   let o = oracle c in
@@ -147,17 +158,9 @@ let check_case seed =
     | Error f ->
         fail "oracle %h, got %s" o.Oracle.estimate (Csdl.Fault.error_to_string f)
     | Ok b ->
-        let open Csdl.Estimate in
-        if
-          bits b.estimate <> bits o.Oracle.estimate
-          || b.filtered_a_tuples <> o.Oracle.filtered_a_tuples
-          || b.filtered_b_tuples <> o.Oracle.filtered_b_tuples
-          || bits b.selectivity_a <> bits o.Oracle.selectivity_a
-          || bits b.virtual_sample_size <> bits o.Oracle.virtual_sample_size
-          || b.contributing_values <> o.Oracle.contributing_values
-        then
-          fail "breakdown differs: estimate %h, oracle %h" b.estimate
-            o.Oracle.estimate);
+        if not (same_breakdown b o) then
+          fail "breakdown differs: estimate %h, oracle %h"
+            b.Csdl.Estimate.estimate o.Oracle.estimate);
     (* the learner is not run, yet its config is still checked *)
     if not (empty_dl_input c o) then true
     else
@@ -192,6 +195,199 @@ let test_generator_coverage () =
     (Printf.sprintf "answerable empty DL inputs (%d)" !empty_input)
     true (!empty_input >= 50)
 
+(* ---------------- the per-synopsis learner slot ---------------- *)
+
+(* What the one function answers agrees with the oracle's breakdown: the
+   side the oracle filtered to nothing is empty, else every field is
+   equal. *)
+let agrees (o : Oracle.breakdown) = function
+  | Ok b ->
+      o.Oracle.filtered_a_tuples > 0
+      && o.Oracle.filtered_b_tuples > 0
+      && same_breakdown b o
+  | Error (Csdl.Fault.Empty_filtered_sample side) ->
+      bits o.Oracle.estimate = 0L
+      &&
+      if o.Oracle.filtered_a_tuples = 0 then side = Csdl.Fault.A
+      else o.Oracle.filtered_b_tuples = 0 && side = Csdl.Fault.B
+  | Error _ -> false
+
+let dl_specs =
+  List.filter
+    (fun s -> s.Csdl.Spec.method_ = Csdl.Spec.Discrete_learning)
+    Csdl.Spec.csdl_variants
+
+(* A fresh flat of a discrete-learning spec, with its synopsis for
+   predicates; [spec] and [theta] are drawn unless given. *)
+let dl_flat ?spec ?theta seed =
+  let prng = Prng.create seed in
+  let spec = match spec with Some s -> s | None -> pick prng dl_specs in
+  let theta =
+    match theta with Some t -> t | None -> pick prng [ 0.01; 0.1; 1.0 ]
+  in
+  let est =
+    Csdl.Estimator.prepare ~sample_first:`A spec ~theta (Lazy.force profile)
+  in
+  let synopsis = Csdl.Estimator.draw est (Prng.create (seed + 1)) in
+  (synopsis, Csdl.Synopsis_flat.of_synopsis synopsis)
+
+let observations obs name =
+  match Obs.registry obs with
+  | None -> 0
+  | Some registry ->
+      List.fold_left
+        (fun acc (n, _, point) ->
+          match point with
+          | Repro_obs.Metrics.P_histogram { count; _ } when n = name ->
+              acc + count
+          | _ -> acc)
+        0
+        (Repro_obs.Metrics.Registry.snapshot registry)
+
+let solves obs = observations obs "dl.virtual_sample.size"
+let theta_diff = Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff
+
+(* With no predicate on the first side the learner runs once per flat,
+   whatever the second side asks. *)
+let test_learns_once () =
+  let synopsis, flat = dl_flat ~spec:theta_diff ~theta:0.1 3 in
+  let obs = Obs.create () in
+  let prng = Prng.create 4 in
+  for i = 1 to 100 do
+    let pred_b =
+      if i = 1 then Predicate.True
+      else snd (random_predicate prng synopsis.Csdl.Synopsis.sample_b)
+    in
+    let o = Oracle.run_with_breakdown_flat ~pred_b flat in
+    if not (agrees o (Csdl.Estimate.run_checked_flat ~obs ~pred_b flat)) then
+      Alcotest.failf "estimate %d differs from the oracle (%h)" i
+        o.Oracle.estimate
+  done;
+  Alcotest.(check int) "one solve for 100 estimates" 1 (solves obs)
+
+(* An empty filtered side answers before any solve, filtered first side
+   or not. *)
+let test_empty_side_solves_nothing () =
+  let obs = Obs.create () in
+  List.iter
+    (fun pred_a ->
+      let _, flat = dl_flat ~spec:theta_diff ~theta:0.1 3 in
+      match
+        Csdl.Estimate.run_checked_flat ~obs ~pred_a ~pred_b:Predicate.False
+          flat
+      with
+      | Error (Csdl.Fault.Empty_filtered_sample Csdl.Fault.B) -> ()
+      | Error f -> Alcotest.failf "got %s" (Csdl.Fault.error_to_string f)
+      | Ok b -> Alcotest.failf "got Ok %h" b.Csdl.Estimate.estimate)
+    [
+      Predicate.True; Predicate.Compare (Predicate.Ge, "k", Value.Int 1);
+    ];
+  Alcotest.(check int) "no solve" 0 (solves obs)
+
+(* Many light values: the slot holds 2,000 x_v, so filling it takes
+   about as long as the solve before it. *)
+let wide_profile =
+  lazy
+    (let counts m = List.init 2000 (fun i -> (i + 1, 1 + (i * 7 mod m))) in
+     Csdl.Profile.of_tables
+       (table_of_counts (counts 4))
+       "k"
+       (table_of_counts (counts 3))
+       "k")
+
+(* Four domains walk 100 fresh flats of one synopsis (empty slots over
+   the same arrays) in the same order, so they race for each flat's
+   slot; every answer must be the oracle's, bit for bit. *)
+let test_racing_domains () =
+  List.iter
+    (fun (spec, theta, pred_b) ->
+      let est =
+        Csdl.Estimator.prepare ~sample_first:`A spec ~theta
+          (Lazy.force wide_profile)
+      in
+      let flat =
+        Csdl.Synopsis_flat.of_synopsis
+          (Csdl.Estimator.draw est (Prng.create 9))
+      in
+      let o = Oracle.run_with_breakdown_flat ~pred_b flat in
+      let flats =
+        Array.init 100 (fun _ ->
+            { flat with Csdl.Synopsis_flat.unfiltered_dl = Atomic.make None })
+      in
+      let ready = Atomic.make 0 in
+      let walk () =
+        Atomic.incr ready;
+        while Atomic.get ready < 4 do
+          Domain.cpu_relax ()
+        done;
+        Array.map (Csdl.Estimate.run_checked_flat ~pred_b) flats
+      in
+      List.init 4 (fun _ -> Domain.spawn walk)
+      |> List.map Domain.join
+      |> List.iteri (fun d answers ->
+             Array.iteri
+               (fun i answer ->
+                 if not (agrees o answer) then
+                   Alcotest.failf "%s: domain %d, flat %d: oracle %h"
+                     (Csdl.Spec.to_string spec) d i o.Oracle.estimate)
+               answers))
+    [
+      (theta_diff, 0.5, Predicate.True);
+      ( Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_diff,
+        0.3,
+        Predicate.Compare (Predicate.Lt, "attr", Value.Int 2) );
+    ]
+
+(* The slot answers only the default learner with the virtual sample on:
+   before and after it is filled, any other call solves for itself. *)
+let test_other_calls_solve () =
+  let config = { Csdl.Discrete_learning.default_config with linear_grid_points = 8 } in
+  let moved_config = ref 0 and moved_virtual = ref 0 in
+  for seed = 0 to 39 do
+    let _, flat = dl_flat ~theta:0.1 (2000 + seed) in
+    let oracle ?dl_config ?virtual_sample () =
+      Oracle.run_with_breakdown_flat ?dl_config ?virtual_sample flat
+    in
+    let default = oracle () in
+    let other = oracle ~dl_config:config () in
+    let raw = oracle ~virtual_sample:false () in
+    if bits other.Oracle.estimate <> bits default.Oracle.estimate then
+      incr moved_config;
+    if bits raw.Oracle.estimate <> bits default.Oracle.estimate then
+      incr moved_virtual;
+    let expect what o r =
+      if not (agrees o r) then
+        Alcotest.failf "seed %d, %s: differs from the oracle (%h)" seed what
+          o.Oracle.estimate
+    in
+    let run = Csdl.Estimate.run_checked_flat in
+    expect "config, empty slot" other (run ~dl_config:config flat);
+    expect "default" default (run flat);
+    expect "config, filled slot" other (run ~dl_config:config flat);
+    expect "no virtual sample" raw (run ~virtual_sample:false flat);
+    (* an empty side answers before the config is looked at *)
+    (match run ~dl_config:invalid_config flat with
+    | Error (Csdl.Fault.Bad_input _)
+      when default.Oracle.filtered_a_tuples > 0
+           && default.Oracle.filtered_b_tuples > 0 ->
+        ()
+    | Error (Csdl.Fault.Empty_filtered_sample _) as r when agrees default r -> ()
+    | r ->
+        Alcotest.failf "seed %d, invalid config: %s" seed
+          (match r with
+          | Ok b -> Printf.sprintf "Ok %h" b.Csdl.Estimate.estimate
+          | Error f -> Csdl.Fault.error_to_string f));
+    expect "default again" default (run flat)
+  done;
+  (* the calls above differ from the default, so a slot that answered
+     them would show *)
+  Alcotest.(check bool)
+    (Printf.sprintf "config moves answers (%d of 40)" !moved_config)
+    true (!moved_config >= 10);
+  Alcotest.(check bool)
+    (Printf.sprintf "virtual sample moves answers (%d of 40)" !moved_virtual)
+    true (!moved_virtual >= 10)
+
 let () =
   Alcotest.run "csdl_estimate_oracle"
     [
@@ -201,5 +397,15 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 17 |])
             prop_matches_oracle;
+        ] );
+      ( "slot",
+        [
+          Alcotest.test_case "one solve per synopsis" `Quick test_learns_once;
+          Alcotest.test_case "no solve behind an empty side" `Quick
+            test_empty_side_solves_nothing;
+          Alcotest.test_case "racing domains match the oracle" `Quick
+            test_racing_domains;
+          Alcotest.test_case "other calls solve for themselves" `Quick
+            test_other_calls_solve;
         ] );
     ]

@@ -492,6 +492,40 @@ let test_engine_unknown_key () =
             (Engine.handle engine ~deadline:(far_deadline Clock.wall)
                ~key:"nope" ())))
 
+(* A predicate on a column the table lacks is the client's mistake, on
+   either side: batch refuses it with a bad-input failure, and the daemon
+   replies err (class err, counted as such) instead of answering the
+   per-key prior as if the synopsis were at fault. *)
+let test_engine_unknown_column_is_err () =
+  with_store (fun store path ->
+      let obs = Obs.create () in
+      let engine = engine_exn ~obs Engine.default_config path in
+      let nope = Predicate.Compare (Predicate.Lt, "nope", Value.Int 3) in
+      let want = "bad input: Predicate: no column named \"nope\"" in
+      List.iter
+        (fun (side, pred_a, pred_b) ->
+          Alcotest.check_raises ("batch, " ^ side) (Failure want) (fun () ->
+              ignore (Csdl.Store.estimate store ~key:"a-b" ?pred_a ?pred_b));
+          let outcome =
+            Engine.handle engine ~deadline:(far_deadline Clock.wall)
+              ~key:"a-b" ?pred_a ?pred_b ()
+          in
+          Alcotest.(check string) ("class, " ^ side) "err"
+            (Engine.outcome_class outcome);
+          Alcotest.(check string) ("reply, " ^ side) ("err id=r1 " ^ want)
+            (Protocol.render_outcome ~id:"r1" outcome))
+        [ ("left", Some nope, None); ("right", None, Some nope) ];
+      match Obs.registry obs with
+      | None -> Alcotest.fail "live obs expected"
+      | Some registry ->
+          let counter ?labels name =
+            Metrics.Counter.value (Metrics.Registry.counter registry ?labels name)
+          in
+          Alcotest.(check int) "counted as err" 2
+            (counter ~labels:[ ("class", "err") ] "server.outcome");
+          Alcotest.(check int) "none degraded" 0
+            (counter ~labels:[ ("class", "degraded") ] "server.outcome"))
+
 let test_engine_deadline_exceeded () =
   with_store (fun _ path ->
       let shared = Clock.shared_counter () in
@@ -1119,6 +1153,8 @@ let () =
           Alcotest.test_case "answers match the batch path" `Quick
             test_engine_answers_match_batch_path;
           Alcotest.test_case "unknown key" `Quick test_engine_unknown_key;
+          Alcotest.test_case "unknown column is err" `Quick
+            test_engine_unknown_column_is_err;
           Alcotest.test_case "reload swaps the snapshot" `Quick
             test_engine_reload;
           Alcotest.test_case "deadline exceeded" `Quick
