@@ -12,7 +12,12 @@
 #     store must also answer `synopsis-estimate`, and
 # (6) a CSV that cannot be read (unterminated quote, missing file,
 #     duplicate header) to fail the build with exit 1 and an
-#     `error: PATH: REASON` line, writing no store.
+#     `error: PATH: REASON` line, writing no store, and
+# (7) bad arguments to be refused, writing no store: a theta outside
+#     (0, 1] (NaN included) as a usage error naming the option (exit
+#     124), a join column the CSV lacks with exit 1 and an
+#     `error: PATH: no column named "C"` line, and a graph key given
+#     twice with exit 2 before any CSV is read.
 # Run from the bench build directory by the @shard-smoke alias; on a cmp
 # failure the shard-*.txt outputs are what CI uploads as the diff.
 set -eu
@@ -187,6 +192,46 @@ bad_csv() {
 bad_csv shard-badquote.csv 'line 3: unterminated quote in field 1'
 bad_csv shard-missing.csv 'No such file'
 bad_csv shard-duphead.csv 'duplicate column "k"'
+test ! -e shard-syn-bad.bin
+
+# ---- phase 5: bad arguments are user errors ----
+
+# expect STATUS PATTERN CMD...: CMD exits STATUS and prints PATTERN on
+# stderr (usage errors are wrapped to the terminal, so lines are joined)
+expect() {
+  want=$1
+  pattern=$2
+  shift 2
+  status=0
+  "$@" > /dev/null 2> shard-bad.txt || status=$?
+  if [ "$status" -ne "$want" ] ||
+    ! tr -s ' \n' '  ' < shard-bad.txt | grep -q -- "$pattern"; then
+    echo "expected exit $want and '$pattern' from: $*; got exit $status:" >&2
+    cat shard-bad.txt >&2
+    exit 1
+  fi
+}
+
+for theta in nan 0 1.5 inf -0.5; do
+  expect 124 "option '--theta'.*(0, 1]" \
+    $CLI synopsis-build "g=shard-left.csv:k,shard-right.csv:k" \
+    --theta="$theta" --store shard-syn-bad.bin
+done
+expect 124 "option '--theta'.*(0, 1]" \
+  $CLI estimate --left shard-left.csv --left-col k --right shard-right.csv \
+  --right-col k --theta nan
+expect 124 "option '--thetas'.*(0, 1]" $CLI bakeoff --thetas 0.01,nan
+expect 1 '^error: shard-right.csv: no column named "nope" $' \
+  $CLI synopsis-build "g=shard-left.csv:k,shard-right.csv:nope" \
+  --theta 0.5 --store shard-syn-bad.bin
+expect 1 '^error: shard-left.csv: no column named "nope" $' \
+  $CLI estimate --left shard-left.csv --left-col nope --right shard-right.csv \
+  --right-col k --theta 0.5
+# the second graph names a CSV that does not exist: refused before reading
+expect 2 '^error: graph key "g" is given twice $' \
+  $CLI synopsis-build "g=shard-left.csv:k,shard-right.csv:k" \
+  "g=shard-missing.csv:k,shard-right.csv:k" --theta 0.5 \
+  --store shard-syn-bad.bin
 test ! -e shard-syn-bad.bin
 
 echo "shard smoke passed"

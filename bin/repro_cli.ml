@@ -32,6 +32,14 @@ let read_csv path =
       Printf.eprintf "error: %s: %s\n" path reason;
       exit 1
 
+(* A join column named on the command line must be in its CSV's header;
+   one that is not ends the command as an unreadable CSV does. *)
+let require_column path table column =
+  if not (Schema.mem (Table.schema table) column) then begin
+    Printf.eprintf "error: %s: no column named %S\n" path column;
+    exit 1
+  end
+
 let write_table directory name table =
   let path = Filename.concat directory (name ^ ".csv") in
   Csv_io.write path table;
@@ -179,9 +187,24 @@ let right_col_arg =
     required & opt (some string) None
     & info [ "right-col" ] ~docv:"NAME" ~doc:"Right join column.")
 
+(* A space budget ratio, refused where it is parsed unless in (0, 1] — so
+   NaN too — as a usage error naming the option. *)
+let theta_conv =
+  let parse text =
+    match Arg.conv_parser Arg.float text with
+    | Ok theta when theta > 0.0 && theta <= 1.0 -> Ok theta
+    | Ok _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "invalid value '%s', expected a number in (0, 1]"
+               text))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let theta_arg =
   Arg.(
-    value & opt float 0.01
+    value & opt theta_conv 0.01
     & info [ "theta" ] ~docv:"T" ~doc:"Space budget ratio (0 < T <= 1).")
 
 let approach_arg =
@@ -289,6 +312,8 @@ let estimate left left_col right right_col theta approach runs exact guarded
   in
   Obs.count obs "estimate.downgrades.total" 0;
   let table_a = read_csv left and table_b = read_csv right in
+  require_column left table_a left_col;
+  require_column right table_b right_col;
   let profile = Csdl.Profile.of_tables table_a left_col table_b right_col in
   Printf.printf "|A| = %d, |B| = %d, shared join values = %d, jvd = %.6f\n"
     profile.Csdl.Profile.a.Csdl.Profile.cardinality
@@ -555,9 +580,9 @@ let bakeoff scale seed runs thetas level jobs bench_json =
 let bakeoff_thetas_arg =
   Arg.(
     value
-    & opt (list float) [ 0.01 ]
+    & opt (list theta_conv) [ 0.01 ]
     & info [ "thetas" ] ~docv:"T,..."
-        ~doc:"Comma-separated sampling budgets to grid over.")
+        ~doc:"Comma-separated sampling budgets (each in (0, 1]) to grid over.")
 
 let bakeoff_runs_arg =
   Arg.(
@@ -634,25 +659,55 @@ let synopsis_build graphs theta store seed shards jobs bench_json =
     Printf.eprintf "error: --shards must be >= 1\n";
     exit 2
   end;
+  let rec check_keys = function
+    | [] -> ()
+    | (key, _, _, _, _) :: rest ->
+        if List.exists (fun (k, _, _, _, _) -> String.equal k key) rest then begin
+          Printf.eprintf "error: graph key %S is given twice\n" key;
+          exit 2
+        end;
+        check_keys rest
+  in
+  check_keys graphs;
   let jobs = if jobs <= 0 then Pool.default_jobs () else jobs in
   let s = Csdl.Store.create () in
   let prov = Provenance.create () in
-  (* graphs often share base tables; tables are immutable, so each
-     distinct CSV is parsed once per run *)
+  (* graphs often share base tables and join columns; tables and profile
+     sides are immutable, so each distinct CSV is parsed once per run and
+     each distinct (CSV, column) grouped once *)
   let parsed = Hashtbl.create 16 in
-  let read path =
-    match Hashtbl.find_opt parsed path with
-    | Some table -> table
+  let read path column =
+    let table =
+      match Hashtbl.find_opt parsed path with
+      | Some table -> table
+      | None ->
+          let table = read_csv path in
+          Hashtbl.replace parsed path table;
+          table
+    in
+    require_column path table column;
+    table
+  in
+  (* every CSV is read and every join column checked before any graph is
+     built *)
+  List.iter
+    (fun (_, lf, lc, rf, rc) ->
+      ignore (read lf lc : Table.t);
+      ignore (read rf rc : Table.t))
+    graphs;
+  let sides = Hashtbl.create 16 in
+  let side path column =
+    match Hashtbl.find_opt sides (path, column) with
+    | Some side -> side
     | None ->
-        let table = read_csv path in
-        Hashtbl.replace parsed path table;
-        table
+        let side = Csdl.Profile.side_of (read path column) column in
+        Hashtbl.replace sides (path, column) side;
+        side
   in
   List.iter
     (fun (key, lf, lc, rf, rc) ->
-      let table_a = read lf in
-      let table_b = read rf in
-      let profile = Csdl.Profile.of_tables table_a lc table_b rc in
+      let side_a = side lf lc in
+      let profile = Csdl.Profile.of_sides side_a (side rf rc) in
       let estimator = Csdl.Opt.prepare ~theta profile in
       (* one keyed stream per graph: rebuilding any subset of graphs with
          the same seed redraws bit-identical synopses, independent of

@@ -45,7 +45,7 @@ let prepare ~eligible_shared_only (profile : Profile.t) =
      incrementally maintained profile has to reproduce the from-scratch
      constants bit for bit. *)
   let arr = Array.of_list triples in
-  Array.sort (fun (a, _, _) (b, _, _) -> Shard_key.compare a b) arr;
+  Shard_key.sort_by (fun (v, _, _) -> v) arr;
   {
     values = Array.map (fun (v, _, _) -> v) arr;
     af = Array.map (fun (_, a, _) -> a) arr;
@@ -233,7 +233,8 @@ let rate_fn rate prep =
         Float.min 1.0 (c *. weight)
 
 let resolve (spec : Spec.t) ~theta (profile : Profile.t) =
-  if theta <= 0.0 || theta > 1.0 then
+  (* written so that NaN fails it too *)
+  if not (theta > 0.0 && theta <= 1.0) then
     invalid_arg "Budget.resolve: theta must be in (0, 1]";
   let budget = theta *. float_of_int profile.Profile.total_rows in
   let diff_involved =

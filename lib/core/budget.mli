@@ -53,7 +53,8 @@ type t = {
 }
 
 val resolve : Spec.t -> theta:float -> Profile.t -> t
-(** Requires [0 < theta <= 1]. *)
+(** Requires [0 < theta <= 1]; raises [Invalid_argument] otherwise, NaN
+    included. *)
 
 val p_of : t -> Profile.t -> Repro_relation.Value.t -> float
 (** The resolved first-level probability for one join value. *)

@@ -32,8 +32,7 @@ let side_of table column =
     distinct = Value.Tbl.length groups;
   }
 
-let of_tables table_a col_a table_b col_b =
-  let a = side_of table_a col_a and b = side_of table_b col_b in
+let of_sides a b =
   let small, large =
     if a.distinct <= b.distinct then (a, b) else (b, a)
   in
@@ -46,7 +45,7 @@ let of_tables table_a col_a table_b col_b =
      hashtable insertion history — an incrementally rebuilt profile has to
      reproduce the from-scratch one bit for bit. *)
   let shared = Array.of_list !shared in
-  Array.sort Shard_key.compare shared;
+  Shard_key.sort_by Fun.id shared;
   let density side =
     if side.cardinality = 0 then 0.0
     else float_of_int side.distinct /. float_of_int side.cardinality
@@ -58,6 +57,10 @@ let of_tables table_a col_a table_b col_b =
     jvd = Float.min (density a) (density b);
     total_rows = a.cardinality + b.cardinality;
   }
+
+let of_tables table_a col_a table_b col_b =
+  let a = side_of table_a col_a in
+  of_sides a (side_of table_b col_b)
 
 let frequency side v =
   match Value.Tbl.find_opt side.frequencies v with Some c -> c | None -> 0

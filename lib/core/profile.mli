@@ -1,7 +1,13 @@
 (** Offline profile of a two-table equijoin [A |><| B]: everything the
     sampling-phase needs to know about the data — per-value frequencies,
     row groups, and the join value density. Built once per join graph and
-    shared by every sampling run and variant. *)
+    shared by every sampling run and variant.
+
+    A {!side} depends only on one table and one column, and nothing ever
+    mutates it (nor the hashtables in it) after {!side_of} returns, so
+    one side may serve every join graph that joins on the same column:
+    [synopsis-build] groups each distinct (CSV, column) once and builds
+    every graph's profile from the shared sides with {!of_sides}. *)
 
 open Repro_relation
 
@@ -22,8 +28,20 @@ type t = {
   total_rows : int;  (** |A| + |B| — the budget base *)
 }
 
+val side_of : Table.t -> string -> side
+(** [side_of table column] groups [table]'s rows by [column] (one scan).
+    Raises [Invalid_argument] naming the column when [table] lacks it. *)
+
+val of_sides : side -> side -> t
+(** [of_sides a b] joins two sides: the shared values (in
+    {!Shard_key.compare} order), the jvd and the budget base. The result
+    holds [a] and [b] themselves, so sides shared between profiles stay
+    shared; either may be the other (a self-join). *)
+
 val of_tables : Table.t -> string -> Table.t -> string -> t
-(** [of_tables a col_a b col_b] scans both tables once. *)
+(** [of_tables a col_a b col_b] is
+    [of_sides (side_of a col_a) (side_of b col_b)]: it scans both tables
+    once. *)
 
 val frequency : side -> Value.t -> int
 (** Occurrence count of a value on one side (0 when absent). *)

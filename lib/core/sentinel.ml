@@ -33,27 +33,49 @@ let predicates s =
   | Ok a, Ok b -> Some (a, b)
   | _ -> None
 
+(* Whether [p] answers alike for every row of a group of [column]. Group
+   v's rows hold values equal to v under [Value.Tbl]'s equality, which
+   also equates [Int x] with [Float (float_of_int x)]; the two compare
+   alike against every constant except an int beyond 2^53, where the
+   float has been rounded. Seeded sentinels ([column <= median]) qualify. *)
+let rec per_group column (p : Predicate.t) =
+  match p with
+  | True | False -> true
+  | Compare (_, c, Value.Int z) ->
+      String.equal c column && z > -(1 lsl 53) && z < 1 lsl 53
+  | Compare (_, c, _) | Like_prefix (c, _) | Like_contains (c, _) ->
+      String.equal c column
+  | And (a, b) | Or (a, b) -> per_group column a && per_group column b
+  | Not a -> per_group column a
+
 (* Exact filtered join size over the base tables:
    sum over shared v of |{rows of A in group v matching pred_a}|
-                      * |{rows of B in group v matching pred_b}|. *)
+                      * |{rows of B in group v matching pred_b}|.
+   A predicate that [per_group] admits is evaluated once per group, on its
+   first row; any other is evaluated on every row. *)
 let filtered_truth (profile : Profile.t) ~pred_a ~pred_b =
   let side_counter (side : Profile.side) pred =
+    let groups = side.Profile.groups and table = side.Profile.table in
     match pred with
     | None ->
         fun v ->
-          (match Value.Tbl.find_opt side.Profile.groups v with
+          (match Value.Tbl.find_opt groups v with
           | Some rows -> Array.length rows
           | None -> 0)
-    | Some p ->
-        let keep = Predicate.compile p (Table.schema side.Profile.table) in
+    | Some p when per_group side.Profile.column p ->
+        let keep = Predicate.compile p (Table.schema table) in
         fun v ->
-          (match Value.Tbl.find_opt side.Profile.groups v with
+          (match Value.Tbl.find_opt groups v with
+          | Some rows when keep (Table.row table rows.(0)) -> Array.length rows
+          | Some _ | None -> 0)
+    | Some p ->
+        let keep = Predicate.compile p (Table.schema table) in
+        fun v ->
+          (match Value.Tbl.find_opt groups v with
           | None -> 0
           | Some rows ->
               Array.fold_left
-                (fun acc r ->
-                  if keep (Table.row side.Profile.table r) then acc + 1
-                  else acc)
+                (fun acc r -> if keep (Table.row table r) then acc + 1 else acc)
                 0 rows)
   in
   let ca = side_counter profile.Profile.a pred_a in

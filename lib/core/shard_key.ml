@@ -34,14 +34,40 @@ let compare a b =
   let c = compare_u64 (hash a) (hash b) in
   if c <> 0 then c else String.compare (Value.encode a) (Value.encode b)
 
+(* [compare] hashes both values on every call, so a sort through it hashes
+   each value about 2 log n times. The keyed sort hashes each value once
+   and sorts (hash, value, item) triples in the same order; the encodings
+   are compared only on equal hashes. Stable, like [List.sort]. Its
+   comparison is written out rather than shared with [compare], which
+   tests keep as the reference order. *)
+let sort_by key items =
+  if Array.length items > 1 then begin
+    let keyed =
+      Array.map
+        (fun item ->
+          let v = key item in
+          (hash v, v, item))
+        items
+    in
+    Array.stable_sort
+      (fun (ha, a, _) (hb, b, _) ->
+        let c = compare_u64 ha hb in
+        if c <> 0 then c else String.compare (Value.encode a) (Value.encode b))
+      keyed;
+    Array.iteri (fun i (_, _, item) -> items.(i) <- item) keyed
+  end
+
 (* Bindings of a [Value.Tbl] in canonical order — the one way hashtable
-   contents are allowed to reach a float accumulation or the wire. *)
+   contents are allowed to reach a float accumulation or the wire. Equal
+   keys (a table grown with [add]) keep the reverse of iteration order. *)
 let sorted_bindings tbl =
   let acc = ref [] in
   Value.Tbl.iter (fun k v -> acc := (k, v) :: !acc) tbl;
-  List.sort (fun (a, _) (b, _) -> compare a b) !acc
+  let bindings = Array.of_list !acc in
+  sort_by fst bindings;
+  Array.to_list bindings
 
 let sorted_values values =
   let values = Array.copy values in
-  Array.sort compare values;
+  sort_by Fun.id values;
   values

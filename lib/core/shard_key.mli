@@ -27,7 +27,15 @@ val shard_of : shards:int -> Repro_relation.Value.t -> int
 val compare : Repro_relation.Value.t -> Repro_relation.Value.t -> int
 (** The canonical total order: unsigned {!hash}, ties broken by the
     injective byte encoding. Strictly total on distinct values (unlike
-    [Value.compare], under which [Int 3] and [Float 3.] tie). *)
+    [Value.compare], under which [Int 3] and [Float 3.] tie). It hashes
+    both values on every call, so do not sort through it: {!sort_by},
+    {!sorted_values} and {!sorted_bindings} hash each value once and
+    give the same order. *)
+
+val sort_by : ('a -> Repro_relation.Value.t) -> 'a array -> unit
+(** [sort_by key items] sorts [items] in place so that their keys are in
+    {!compare} order, hashing each key once; stable, so items with equal
+    keys keep their relative order. *)
 
 val sorted_bindings : 'a Repro_relation.Value.Tbl.t -> (Repro_relation.Value.t * 'a) list
 (** The table's bindings sorted by {!compare} — the one sanctioned way

@@ -6,6 +6,9 @@ type entry = {
   swapped : bool;
   fingerprint_a : int64;
   fingerprint_b : int64;
+  fingerprinted : Table.t * Table.t;
+      (* the data [fingerprint_a] and [fingerprint_b] were computed from
+         (or, after a load, checked against) *)
   prng_key : string;
   shards : int;
   sentinels : Sentinel.t list;
@@ -18,6 +21,19 @@ type t = (string, entry) Hashtbl.t
 
 let create () : t = Hashtbl.create 16
 
+(* Graphs share base tables, and tables are never mutated: a table that
+   an entry already holds (physically) has the fingerprint recorded there. *)
+let fingerprint (store : t) table =
+  let recorded entry =
+    let data_a, data_b = entry.fingerprinted in
+    if data_a == table then Some entry.fingerprint_a
+    else if data_b == table then Some entry.fingerprint_b
+    else None
+  in
+  match Seq.find_map recorded (Hashtbl.to_seq_values store) with
+  | Some fp -> fp
+  | None -> Table.fingerprint table
+
 let add ?(prng_key = "") ?(shards = 1) store ~key ~table_a ~table_b estimator
     synopsis =
   if shards < 1 then invalid_arg "Store.add: shards must be >= 1";
@@ -25,11 +41,11 @@ let add ?(prng_key = "") ?(shards = 1) store ~key ~table_a ~table_b estimator
   let profile = Estimator.profile estimator in
   (* the estimator's profile is in sampler orientation: its A side sits on
      [table_b]'s data when the estimator swapped *)
-  let fp_first = Table.fingerprint profile.Profile.a.Profile.table in
-  let fp_second = Table.fingerprint profile.Profile.b.Profile.table in
-  let fingerprint_a, fingerprint_b =
-    if swapped then (fp_second, fp_first) else (fp_first, fp_second)
-  in
+  let first = profile.Profile.a.Profile.table
+  and second = profile.Profile.b.Profile.table in
+  let data_a, data_b = if swapped then (second, first) else (first, second) in
+  let fingerprint_a = fingerprint store data_a in
+  let fingerprint_b = fingerprint store data_b in
   let flat = Synopsis_flat.of_synopsis synopsis in
   (* sentinels are seeded in user-facing orientation so the store entry
      carries queries phrased the way clients phrase them; baselines are
@@ -46,6 +62,7 @@ let add ?(prng_key = "") ?(shards = 1) store ~key ~table_a ~table_b estimator
       swapped;
       fingerprint_a;
       fingerprint_b;
+      fingerprinted = (data_a, data_b);
       prng_key;
       shards;
       sentinels;
@@ -132,6 +149,13 @@ let save store path =
   in
   Synopsis_store.write ~path entries
 
+(* The decoder checked each sample's table against the recorded
+   fingerprint of its side; the samples are in sampler orientation. *)
+let stored_data (s : Synopsis_store.stored) =
+  let first = s.synopsis.Synopsis.sample_a.Sample.table
+  and second = s.synopsis.Synopsis.sample_b.Sample.table in
+  if s.swapped then (second, first) else (first, second)
+
 let load_result ~resolve_table path =
   Result.map
     (fun entries ->
@@ -145,6 +169,7 @@ let load_result ~resolve_table path =
               swapped = s.Synopsis_store.swapped;
               fingerprint_a = s.Synopsis_store.fingerprint_a;
               fingerprint_b = s.Synopsis_store.fingerprint_b;
+              fingerprinted = stored_data s;
               prng_key = s.Synopsis_store.prng_key;
               shards = s.Synopsis_store.shards;
               sentinels = s.Synopsis_store.sentinels;

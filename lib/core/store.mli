@@ -30,8 +30,10 @@ val add :
   unit
 (** Register a drawn synopsis under [key]. [table_a]/[table_b] name the
     estimator's original A and B tables (used to rehydrate after [load]);
-    their content fingerprints are computed here, at registration time.
-    [prng_key] records which keyed PRNG stream drew the synopsis (purely
+    their content fingerprints are computed here, at registration time,
+    except that a table some entry of [t] already holds (the same table,
+    physically: tables are never mutated) has its recorded fingerprint
+    reused. [prng_key] records which keyed PRNG stream drew the synopsis (purely
     informational provenance; defaults to [""]). [shards] (default 1,
     must be [>= 1]) is the partition count the synopsis is persisted
     with — see {!Synopsis_shard}; estimates do not depend on it. Also

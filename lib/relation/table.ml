@@ -58,27 +58,53 @@ let frequency_map t name =
     t.rows;
   freq
 
+(* One [Value.Tbl] lookup per row gives each non-null row its group's
+   ordinal (groups numbered in first-occurrence order); the ordinals count
+   each group's size, then fill exact-size arrays in row order. The two
+   tables' sizes and insertion orders must stay as they are: they decide
+   which values share a group ([Value.Tbl] equates [Int x] with
+   [Float (float_of_int x)] only when the two share a bucket) and the
+   result's iteration order, which callers see. *)
 let group_by t name =
   let i = column_index t name in
-  let groups = Value.Tbl.create 1024 in
-  Array.iteri
-    (fun row_index row ->
-      match row.(i) with
-      | Value.Null -> ()
-      | v -> (
-          match Value.Tbl.find_opt groups v with
-          | Some acc -> acc := row_index :: !acc
-          | None -> Value.Tbl.add groups v (ref [ row_index ])))
-    t.rows;
-  let out = Value.Tbl.create (Value.Tbl.length groups) in
+  let n = Array.length t.rows in
+  let ordinals = Value.Tbl.create 1024 in
+  let ordinal_of_row = Array.make n (-1) in
+  let sizes = Array.make n 0 in
+  let groups = ref 0 in
+  for r = 0 to n - 1 do
+    match t.rows.(r).(i) with
+    | Value.Null -> ()
+    | v ->
+        let g =
+          match Value.Tbl.find ordinals v with
+          | g -> g
+          | exception Not_found ->
+              let g = !groups in
+              Value.Tbl.add ordinals v g;
+              groups := g + 1;
+              g
+        in
+        ordinal_of_row.(r) <- g;
+        sizes.(g) <- sizes.(g) + 1
+  done;
+  let rows = Array.make !groups [||] in
+  let out = Value.Tbl.create !groups in
   Value.Tbl.iter
-    (fun v acc ->
-      let arr = Array.of_list !acc in
-      (* rows were prepended, so reverse into increasing order *)
-      let n = Array.length arr in
-      let sorted = Array.init n (fun k -> arr.(n - 1 - k)) in
-      Value.Tbl.add out v sorted)
-    groups;
+    (fun v g ->
+      rows.(g) <- Array.make sizes.(g) 0;
+      Value.Tbl.add out v rows.(g))
+    ordinals;
+  (* fill from the last row down, counting each size back to 0, so every
+     array ends up in increasing row order *)
+  for r = n - 1 downto 0 do
+    let g = ordinal_of_row.(r) in
+    if g >= 0 then begin
+      let k = sizes.(g) - 1 in
+      rows.(g).(k) <- r;
+      sizes.(g) <- k
+    end
+  done;
   out
 
 let distinct_count t name =

@@ -127,6 +127,19 @@ let test_budget_theta_validation () =
     (Invalid_argument "Budget.resolve: theta must be in (0, 1]") (fun () ->
       ignore (Csdl.Budget.resolve spec ~theta:0.0 profile))
 
+(* NaN fails every ordered comparison, so a range check written as
+   [theta <= 0 || theta > 1] lets it through to a 0-tuple synopsis. *)
+let test_budget_theta_nan () =
+  let profile = Lazy.force big_profile in
+  List.iter
+    (fun spec ->
+      Alcotest.check_raises "theta = nan"
+        (Invalid_argument "Budget.resolve: theta must be in (0, 1]") (fun () ->
+          ignore (Csdl.Budget.resolve spec ~theta:Float.nan profile)))
+    [ Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_theta;
+      Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff;
+      Csdl.Spec.cs2l ]
+
 (* ------------------------------------------------------------------ *)
 (* Budget: diff resolutions                                            *)
 (* ------------------------------------------------------------------ *)
@@ -384,6 +397,7 @@ let () =
             test_budget_semijoin_sentries_ride_on_top;
           Alcotest.test_case "q=1 pinned" `Quick test_budget_q_one_pinned;
           Alcotest.test_case "theta validation" `Quick test_budget_theta_validation;
+          Alcotest.test_case "theta NaN refused" `Quick test_budget_theta_nan;
         ] );
       ( "diff",
         [

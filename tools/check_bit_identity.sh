@@ -8,12 +8,14 @@
 # exit) and the working tree itself, then cmp's the two builds' outputs:
 #   1. `bench/main.exe --smoke` stdout (the CI smoke grid);
 #   2. `repro_cli batch` over generated IMDB stores of the eight JOB join
-#      graphs, at theta 0.05 for scales 0.1 and 0.005 and at theta 0.0001
+#      graphs, at theta 0.05 for scales 0.1 and 0.005, at theta 0.0001
 #      for scale 0.1 (where CSDL-Opt's budget fits only the sentries of
-#      mc_ct and every q_v is 0), each graph answering a fixed query file
-#      of the JOB predicates and sweeps of their constants. The `batch:`
-#      timing line is dropped; everything else, stderr included, must
-#      match.
+#      mc_ct and every q_v is 0), and at theta 0.05 for scale 0.1 built
+#      with `--shards 4 --jobs 2` (a store of four segments, each written
+#      in the canonical value order), each graph answering a fixed query
+#      file of the JOB predicates and sweeps of their constants. The
+#      `batch:` timing line is dropped; everything else, stderr included,
+#      must match.
 # Both sides read the same generated CSVs; each builds its own store, and
 # the two stores must match byte for byte too, the drift sentinels'
 # recorded baselines (their build-time q-errors) included.
@@ -78,11 +80,19 @@ queries() {
 }
 
 keys="mc_ct mi_it t_mc t_mi t_mk mk_k at_mk ci_t"
-for run in 0.1:0.05 0.005:0.05 0.1:0.0001; do
+# SCALE:THETA:SHARDS
+for run in 0.1:0.05:1 0.005:0.05:1 0.1:0.0001:1 0.1:0.05:4; do
   scale=${run%%:*}
+  shards=${run##*:}
   theta=${run#*:}
+  theta=${theta%:*}
   name=$scale
   [ "$theta" = 0.05 ] || name=$scale-theta$theta
+  sharding=
+  if [ "$shards" != 1 ]; then
+    name=$name-shards$shards
+    sharding="--shards $shards --jobs 2"
+  fi
   data=$out/imdb-$scale
   [ -d "$data" ] ||
     "$new_cli" generate-imdb --scale "$scale" --out "$data" >/dev/null
@@ -105,7 +115,8 @@ $data/cast_info.csv:movie_id,$data/title.csv:id"
     # a relative store path keeps the build's stdout free of the side
     mkdir -p "$out/$side-$name"
     (cd "$out/$side-$name" &&
-      "$cli" synopsis-build "$@" --theta "$theta" --store store.bin
+      # $sharding is unquoted: empty, or two options and their values
+      "$cli" synopsis-build "$@" --theta "$theta" $sharding --store store.bin
       for key in $keys; do
         queries "$key" > "q-$key.txt"
         "$cli" batch "$key" --store store.bin --queries "q-$key.txt" 2>&1 |
