@@ -7,10 +7,14 @@
 # cache, where every query file starts on a cache miss that reads the
 # store, (5) a brief --chaos run to inject faults and still serve every
 # query without crashing, (6) the same byte identity, with no degraded
-# reply, on a store whose first side holds only sentries, and (7) a
+# reply, on a store whose first side holds only sentries, (7) a
 # predicate on an unknown column failing batch with exit 1 and getting an
-# err reply from the daemon. Run from the bench build directory by the
-# @server-smoke alias.
+# err reply from the daemon, and (8) the same byte identity, with no
+# degraded reply, through a one-slot cache over a store of its own built
+# at --shards 4: a self-join on two columns of one CSV and an entry the
+# estimator stores swapped, whose misses the daemon answers from the
+# sampled rows alone (it builds no whole table). Run from the bench build
+# directory by the @server-smoke alias.
 set -eu
 
 PORT=7457
@@ -240,3 +244,80 @@ fi
 cmp lj-batch-out.txt lj-client-out.txt
 echo "sentry-only store: 5 estimates byte-identical, none degraded"
 echo "unknown column: batch exits 1, the daemon replies err"
+
+# ---- phase 8: misses built from the sampled rows answer as batch ----
+
+# The daemon reads its CSVs through the row reader: one scan each for the
+# fingerprint and the counts, and only the sampled rows built. Its own
+# store: a self-join on two columns of one CSV (one read serves both
+# samples) and a key side on the left, which the estimator samples second
+# and so stores swapped, built at 4 shards and served through a one-slot
+# cache, so each query file below opens on a miss.
+{
+  echo a,b,attr
+  i=0
+  while [ $i -lt 300 ]; do
+    echo "$((i % 23)),$((i % 17)),$((i % 9))"
+    i=$((i + 1))
+  done
+} > rr-self.csv
+
+{
+  echo k,attr
+  i=0
+  while [ $i -lt 40 ]; do
+    echo "$i,$((i % 7))"
+    i=$((i + 1))
+  done
+} > rr-pk.csv
+
+{
+  echo k,attr
+  i=0
+  while [ $i -lt 200 ]; do
+    echo "$((i % 40)),$((i % 5))"
+    i=$((i + 1))
+  done
+} > rr-fk.csv
+
+awk 'BEGIN {
+  for (i = 0; i < 20; i++)
+    printf "attr < %d ;; attr > %d\n", (i % 9) + 1, i % 4
+}' > rr-queries.txt
+
+../bin/repro_cli.exe synopsis-build \
+  "self=rr-self.csv:a,rr-self.csv:b" "sw=rr-pk.csv:k,rr-fk.csv:k" \
+  --theta 0.5 --seed 11 --shards 4 --store rr-synopses.bin > rr-build.txt
+
+for key in self sw; do
+  ../bin/repro_cli.exe batch $key --store rr-synopses.bin \
+    --queries rr-queries.txt > rr-batch-$key.txt
+done
+
+../bin/repro_cli.exe serve --store rr-synopses.bin --port $PORT \
+  --cache-capacity 1 2> rr-server.log &
+SRV=$!
+wait_ready rr-server.log
+
+for round in 1 2; do
+  for key in self sw; do
+    ../bin/repro_cli.exe client --port $PORT --key $key \
+      --queries rr-queries.txt > rr-client-$key-$round.txt
+    if grep -q degraded rr-client-$key-$round.txt; then
+      echo "row reader, $key: the daemon degraded" >&2
+      cat rr-client-$key-$round.txt >&2
+      exit 1
+    fi
+    cmp rr-batch-$key.txt rr-client-$key-$round.txt
+  done
+done
+
+# the misses really happened: two per round
+../bin/repro_cli.exe client --port $PORT --verb metrics > rr-metrics.txt
+grep '^server_loads_total' rr-metrics.txt \
+  | awk '{ s += $NF } END { exit !(s >= 4) }'
+
+kill -TERM $SRV
+wait $SRV
+grep -q 'shutdown complete' rr-server.log
+echo "row reader: self-join and swapped keys through cache misses: 80 estimates byte-identical, none degraded"

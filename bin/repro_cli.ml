@@ -1535,7 +1535,7 @@ let serve_run store host port jobs queue_capacity queue_policy deadline
     }
   in
   match
-    Repro_server.Engine.create ~obs engine_config
+    Repro_server.Engine.create ~obs ~read_rows:Csv_io.read_rows engine_config
       ~resolve_table:Csv_io.read_auto ~store_path:store
   with
   | Error fault ->

@@ -61,7 +61,10 @@ type side = {
       (** length [n+1]; value [i]'s sampled rows live at positions
           [row_off.(i) .. row_off.(i+1) - 1] (of [rows] and of every
           materialized column) *)
-  rows : rows;  (** all non-sentry sampled row indices, concatenated *)
+  rows : rows;
+      (** all non-sentry sampled row indices, concatenated; they index the
+          sample's table, which on the serving path holds only the
+          sampled rows ({!Synopsis_store.read_entry}) *)
   sentry : int array;  (** sentry row index per value, [-1] when absent *)
   sentry_pos : int array;
       (** position of value [i]'s sentry tuple in the materialized

@@ -354,16 +354,6 @@ let get_budget r =
     budget;
   }
 
-(* A row index addresses the resolved table: one past its end would pass
-   every checksum and then crash the first estimate that reads the row,
-   so the decoder rejects it here. *)
-let get_row r ~cardinality =
-  let i = get_int r in
-  if i < 0 || i >= cardinality then
-    fail "row"
-      (Printf.sprintf "row index %d outside a table of %d rows" i cardinality);
-  i
-
 (* Iteration order of the rebuilt hashtable is immaterial: every float
    accumulation downstream (flat layout, budget solving, profile scans)
    runs in the canonical Shard_key order, and N' is an exact
@@ -371,19 +361,17 @@ let get_row r ~cardinality =
    bindings. The round-trip test in test_store.ml pins the resulting
    bit-identity for every variant.
 
-   With [table = None] the entries are only walked: every field is still
-   parsed, so the segment's trailing-byte check holds, but no row is
-   range-checked and nothing is kept. *)
-let get_entries r ~table acc =
-  let cardinality =
-    match table with Some t -> Table.cardinality t | None -> max_int
-  in
-  let keep = Option.is_some table in
+   Row indices are kept as stored: no table has been read yet, so they
+   are range-checked once their table is resolved ([build_sample]). With
+   [keep = false] the entries are only walked: every field is still
+   parsed, so the segment's trailing-byte check holds, but nothing is
+   kept. *)
+let get_entries r ~keep acc =
   let n = get_count r "sample entry" in
   let bindings = ref acc in
   for _ = 1 to n do
     let v = get_value r in
-    let sentry_row = get_opt (get_row ~cardinality) r in
+    let sentry_row = get_opt get_int r in
     let rows_n = get_count r "row" in
     (* compared by division: [rows_n * 8] could wrap past [need] *)
     if rows_n > left r / 8 then need r (rows_n * 8);
@@ -391,7 +379,7 @@ let get_entries r ~table acc =
        the reader is stateful *)
     let rows = Array.make (if keep then rows_n else 0) 0 in
     for i = 0 to rows_n - 1 do
-      let row = get_row ~cardinality r in
+      let row = get_int r in
       if keep then rows.(i) <- row
     done;
     let p_v = get_f64 r in
@@ -401,7 +389,15 @@ let get_entries r ~table acc =
   done;
   !bindings
 
-let get_sample r ~shards ~table =
+(* A sample as stored, before its table is read: the bindings come last
+   entry first, and their row indices are unchecked. *)
+type parsed_sample = {
+  column : string;
+  tuple_count : int;
+  bindings : (Value.t * Sample.entry) list;
+}
+
+let get_sample r ~shards ~keep =
   let column = get_str r in
   let tuple_count = get_int r in
   if tuple_count < 0 then fail "payload" "negative tuple count";
@@ -425,67 +421,87 @@ let get_sample r ~shards ~table =
       fail "shard segment"
         (Printf.sprintf "shard %d: recorded checksum %Lx, segment hashes to %Lx"
            k recorded actual);
-    bindings := get_entries sr ~table !bindings;
+    bindings := get_entries sr ~keep !bindings;
     if sr.pos <> seg_len then
       fail "shard segment"
         (Printf.sprintf "shard %d: %d trailing bytes after last entry" k
            (seg_len - sr.pos))
   done;
-  Option.map
-    (fun table ->
-      let entries = Value.Tbl.create 256 in
-      List.iter (fun (v, e) -> Value.Tbl.add entries v e) !bindings;
-      let sentries =
-        Value.Tbl.fold
-          (fun _ (e : Sample.entry) acc ->
-            match e.Sample.sentry_row with Some _ -> acc + 1 | None -> acc)
-          entries 0
-      in
-      { Sample.table; column; entries; tuple_count; sentries })
-    table
+  { column; tuple_count; bindings = !bindings }
 
-(* Within one decode each distinct table is resolved and fingerprinted
-   once, however many entries name it: the entries of a store share their
-   base tables, and tables are never mutated. A resolver failure is not
-   remembered; it fails the decode. *)
-let memo_resolver resolve_table =
-  let seen = Hashtbl.create 8 in
-  fun name ->
-    match Hashtbl.find_opt seen name with
-    | Some resolved -> resolved
-    | None ->
-        let table =
-          match resolve_table name with
-          | table -> table
-          | exception exn ->
-              fail "table"
-                (Printf.sprintf "cannot resolve %S: %s" name
-                   (Printexc.to_string exn))
-        in
-        let resolved = (table, Table.fingerprint table) in
-        Hashtbl.replace seen name resolved;
-        resolved
+(* Where the samples' tables come from: whole tables, which a stored
+   synopsis keeps (its row indices address them), or just the rows the
+   wanted entries sample, with each sample's join-column distinct count
+   when [counts]. *)
+type tables =
+  | Whole of (string -> Table.t)
+  | Sampled of { read_rows : Table.row_reader; counts : bool }
 
-(* Resolve an entry's two tables, then check each against the entry's
-   own recorded fingerprint. *)
-let resolve_tables ~resolve ~table_a ~table_b ~fingerprint_a ~fingerprint_b =
-  let resolved_a = resolve table_a in
-  let resolved_b = resolve table_b in
-  let check name (table, actual) recorded =
-    if actual <> recorded then
-      fail "fingerprint"
-        (Printf.sprintf "table %S: recorded %Lx, resolved data hashes to %Lx"
-           name recorded actual);
-    table
+(* One table name, resolved: what the whole table is, the table its
+   samples are built over, and where a stored row index (in range) lands
+   in that table. *)
+type source = { whole : Table.sampled; table : Table.t; index : int -> int }
+
+(* The position of [i] in [sorted], which holds it. *)
+let position sorted i =
+  let lo = ref 0 and hi = ref (Array.length sorted - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if sorted.(mid) < i then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* A sample over its resolved table. A sampled row or sentry index outside
+   the whole table would pass every checksum (the encoder wrote it
+   faithfully) and then crash the first estimate that reads the row, so
+   it is rejected here, the first one in stored order. *)
+let build_sample source (ps : parsed_sample) =
+  let cardinality = source.whole.Table.cardinality in
+  let row i =
+    if i < 0 || i >= cardinality then
+      fail "row"
+        (Printf.sprintf "row index %d outside a table of %d rows" i cardinality);
+    source.index i
   in
-  ( check table_a resolved_a fingerprint_a,
-    check table_b resolved_b fingerprint_b )
+  let bindings =
+    List.rev_map
+      (fun (v, (e : Sample.entry)) ->
+        let sentry_row = Option.map row e.Sample.sentry_row in
+        Array.iteri (fun k i -> e.Sample.rows.(k) <- row i) e.Sample.rows;
+        (v, { e with Sample.sentry_row }))
+      (List.rev ps.bindings)
+  in
+  let entries = Value.Tbl.create 256 in
+  List.iter (fun (v, e) -> Value.Tbl.add entries v e) bindings;
+  let sentries =
+    Value.Tbl.fold
+      (fun _ (e : Sample.entry) acc ->
+        match e.Sample.sentry_row with Some _ -> acc + 1 | None -> acc)
+      entries 0
+  in
+  {
+    Sample.table = source.table;
+    column = ps.column;
+    entries;
+    tuple_count = ps.tuple_count;
+    sentries;
+  }
 
-(* Parse one entry. Only an entry whose key satisfies [wanted] has its
-   tables resolved and its samples built; any other is walked through
-   the same readers, so every length, checksum and structural check
-   still runs on it. *)
-let get_stored r ~resolve ~wanted =
+let check_fingerprint name source recorded =
+  let actual = source.whole.Table.fingerprint in
+  if actual <> recorded then
+    fail "fingerprint"
+      (Printf.sprintf "table %S: recorded %Lx, resolved data hashes to %Lx"
+         name recorded actual)
+
+(* Parse one entry. Only an entry whose key satisfies [wanted] keeps its
+   samples; any other is walked through the same readers, so every
+   length, checksum and structural check still runs on it. A kept entry
+   comes back as what it needs of each table name (the sample on it) and
+   the function that, given those tables, checks them against its own
+   recorded fingerprints and builds it, with the sources of its samples
+   in sampler orientation. *)
+let get_stored r ~wanted =
   let key = get_str r in
   let table_a = get_str r in
   let table_b = get_str r in
@@ -505,77 +521,165 @@ let get_stored r ~resolve ~wanted =
     sentinels := { Sentinel.left_pred; right_pred; truth; baseline } :: !sentinels
   done;
   let sentinels = List.rev !sentinels in
+  let keep = wanted key in
+  let resolved = get_budget r in
   (* the samples are stored in sampler orientation: the first-sampled side
      lives on table_b when the estimator swapped *)
-  let first, second =
-    if not (wanted key) then (None, None)
-    else
-      let resolved_a, resolved_b =
-        resolve_tables ~resolve ~table_a ~table_b ~fingerprint_a
-          ~fingerprint_b
-      in
-      if swapped then (Some resolved_b, Some resolved_a)
-      else (Some resolved_a, Some resolved_b)
-  in
-  let resolved = get_budget r in
-  let sample_a = get_sample r ~shards ~table:first in
-  let sample_b = get_sample r ~shards ~table:second in
+  let first = get_sample r ~shards ~keep in
+  let second = get_sample r ~shards ~keep in
   let n_prime = get_f64 r in
-  match (sample_a, sample_b) with
-  | Some sample_a, Some sample_b ->
-      Some
-        {
-          key;
-          table_a;
-          table_b;
-          swapped;
-          fingerprint_a;
-          fingerprint_b;
-          prng_key;
-          shards;
-          sentinels;
-          synopsis = { Synopsis.resolved; sample_a; sample_b; n_prime };
-        }
-  | _ -> None
+  let orient a b = if swapped then (b, a) else (a, b) in
+  if not keep then None
+  else
+    let on_a, on_b = orient first second in
+    Some
+      ( [ (table_a, on_a); (table_b, on_b) ],
+        fun resolve ->
+          let source_a = resolve table_a in
+          let source_b = resolve table_b in
+          check_fingerprint table_a source_a fingerprint_a;
+          check_fingerprint table_b source_b fingerprint_b;
+          let for_first, for_second = orient source_a source_b in
+          let sample_a = build_sample for_first first in
+          let sample_b = build_sample for_second second in
+          ( {
+              key;
+              table_a;
+              table_b;
+              swapped;
+              fingerprint_a;
+              fingerprint_b;
+              prng_key;
+              shards;
+              sentinels;
+              synopsis = { Synopsis.resolved; sample_a; sample_b; n_prime };
+            },
+            for_first,
+            for_second ) )
 
-let decode_matching ~resolve_table ~wanted data =
+(* Every check of the file image that needs no table: header, payload
+   checksum and every entry's structure, wanted or not. *)
+let walk_payload ~wanted data =
+  if String.length data < 40 then fail "header" "file shorter than header";
+  if String.sub data 0 8 <> magic then fail "magic" "not a synopsis store";
+  let r = reader data ~base:0 ~len:(String.length data) in
+  r.pos <- 8;
+  let v = get_int r in
+  if v <> version then
+    fail "version"
+      (Printf.sprintf "file version %d, this library reads %d" v version);
+  let h = get_i64 r in
+  if h <> schema_hash then
+    fail "schema-hash"
+      (Printf.sprintf "file layout %Lx, this library reads %Lx" h schema_hash);
+  let payload_length = get_count r "payload byte" in
+  let recorded_checksum = get_i64 r in
+  if payload_length <> left r then
+    fail "payload"
+      (Printf.sprintf "payload length %d does not match file size"
+         payload_length);
+  let actual = checksum data r.pos payload_length in
+  if actual <> recorded_checksum then
+    fail "checksum"
+      (Printf.sprintf "recorded %Lx, payload hashes to %Lx" recorded_checksum
+         actual);
+  let pr = reader data ~base:r.pos ~len:payload_length in
+  let n = get_count pr "entry" in
+  let kept = ref [] in
+  for _ = 1 to n do
+    Option.iter (fun e -> kept := e :: !kept) (get_stored pr ~wanted)
+  done;
+  if pr.pos <> pr.len then fail "payload" "trailing bytes after last entry";
+  List.rev !kept
+
+(* The rows the samples in [needs] hold on table [name], ascending and
+   distinct; a negative index is left out, as it fails its range check
+   anyway. *)
+let union_rows needs name =
+  let rows = ref [||] and n = ref 0 in
+  let add i =
+    if i >= 0 then begin
+      if !n = Array.length !rows then
+        rows := Repro_util.Scratch.grow !rows (!n + 1) 0;
+      !rows.(!n) <- i;
+      incr n
+    end
+  in
+  List.iter
+    (fun (table, (ps : parsed_sample)) ->
+      if String.equal table name then
+        List.iter
+          (fun (_, (e : Sample.entry)) ->
+            Option.iter add e.Sample.sentry_row;
+            Array.iter add e.Sample.rows)
+          ps.bindings)
+    needs;
+  let rows = Array.sub !rows 0 !n in
+  Array.stable_sort Int.compare rows;
+  let k = ref 0 in
+  Array.iter
+    (fun i ->
+      if !k = 0 || rows.(!k - 1) <> i then begin
+        rows.(!k) <- i;
+        incr k
+      end)
+    rows;
+  Array.sub rows 0 !k
+
+(* Each table name in [needs] is read once: a whole table, or the union
+   of the rows its samples hold and, with [counts], the distinct counts
+   of their join columns. A self-join reads its one table once for both
+   samples. A resolver failure fails the decode. *)
+let resolver tables needs =
+  let resolved = Hashtbl.create 8 in
+  fun name ->
+    match Hashtbl.find_opt resolved name with
+    | Some source -> source
+    | None ->
+        let read () =
+          match tables with
+          | Whole resolve_table ->
+              let table = resolve_table name in
+              {
+                whole = Table.read_rows table ~columns:[] ~rows:[||];
+                table;
+                index = Fun.id;
+              }
+          | Sampled { read_rows; counts } ->
+              let rows = union_rows needs name in
+              let columns =
+                if not counts then []
+                else
+                  List.sort_uniq String.compare
+                    (List.filter_map
+                       (fun (table, (ps : parsed_sample)) ->
+                         if String.equal table name then Some ps.column
+                         else None)
+                       needs)
+              in
+              let whole = read_rows name ~columns ~rows in
+              { whole; table = whole.Table.rows; index = position rows }
+        in
+        let source =
+          match read () with
+          | source -> source
+          | exception exn ->
+              fail "table"
+                (Printf.sprintf "cannot resolve %S: %s" name
+                   (Printexc.to_string exn))
+        in
+        Hashtbl.replace resolved name source;
+        source
+
+(* The one payload walker. The whole image is checked first; then each
+   wanted entry, in file order, resolves its two tables (each name once
+   per call), checks their fingerprints and builds its samples, and
+   [finish] makes the result of it and its samples' sources. *)
+let walk ~tables ~wanted ~finish data =
   match
-    if String.length data < 40 then fail "header" "file shorter than header";
-    if String.sub data 0 8 <> magic then fail "magic" "not a synopsis store";
-    let r = reader data ~base:0 ~len:(String.length data) in
-    r.pos <- 8;
-    let v = get_int r in
-    if v <> version then
-      fail "version"
-        (Printf.sprintf "file version %d, this library reads %d" v version);
-    let h = get_i64 r in
-    if h <> schema_hash then
-      fail "schema-hash"
-        (Printf.sprintf "file layout %Lx, this library reads %Lx" h schema_hash);
-    let payload_length = get_count r "payload byte" in
-    let recorded_checksum = get_i64 r in
-    if payload_length <> left r then
-      fail "payload"
-        (Printf.sprintf "payload length %d does not match file size"
-           payload_length);
-    let actual = checksum data r.pos payload_length in
-    if actual <> recorded_checksum then
-      fail "checksum"
-        (Printf.sprintf "recorded %Lx, payload hashes to %Lx" recorded_checksum
-           actual);
-    let pr = reader data ~base:r.pos ~len:payload_length in
-    let resolve = memo_resolver resolve_table in
-    let n = get_count pr "entry" in
-    let entries = ref [] in
-    for _ = 1 to n do
-      match get_stored pr ~resolve ~wanted with
-      | Some s -> entries := s :: !entries
-      | None -> ()
-    done;
-    let entries = List.rev !entries in
-    if pr.pos <> pr.len then
-      fail "payload" "trailing bytes after last entry";
-    entries
+    let kept = walk_payload ~wanted data in
+    let resolve = resolver tables (List.concat_map fst kept) in
+    List.map (fun (_, build) -> finish (build resolve)) kept
   with
   | entries -> Ok entries
   | exception Fail fault -> Error fault
@@ -584,20 +688,26 @@ let decode_matching ~resolve_table ~wanted data =
         (Fault.Store_mismatch
            { what = "payload"; detail = Printexc.to_string exn })
 
-let decode ~resolve_table data =
-  decode_matching ~resolve_table ~wanted:(fun _ -> true) data
+let entry (s, _, _) = s
 
-(* A store written by [Store.save] holds each key once; should a file
-   repeat one, the last copy wins, as it does for [Store.load_result]
-   and the serving engine's snapshot. *)
-let decode_entry ~resolve_table ~key data =
-  match decode_matching ~resolve_table ~wanted:(String.equal key) data with
-  | Error _ as e -> e
-  | Ok [] ->
-      Error
-        (Fault.Store_mismatch
-           { what = "key"; detail = key ^ " missing from store" })
-  | Ok entries -> Ok (List.nth entries (List.length entries - 1))
+let decode ~resolve_table data =
+  walk ~tables:(Whole resolve_table) ~wanted:(fun _ -> true) ~finish:entry data
+
+type side = { cardinality : int; distinct : int }
+type served = { entry : stored; side_a : side; side_b : side }
+
+let served ((s : stored), first, second) =
+  let side source (sample : Sample.t) =
+    {
+      cardinality = source.whole.Table.cardinality;
+      distinct = List.assoc sample.Sample.column source.whole.Table.distinct;
+    }
+  in
+  {
+    entry = s;
+    side_a = side first s.synopsis.Synopsis.sample_a;
+    side_b = side second s.synopsis.Synopsis.sample_b;
+  }
 
 (* ---------------- file IO ---------------- *)
 
@@ -639,5 +749,25 @@ let read_file path =
 let read ~resolve_table ~path =
   Result.bind (read_file path) (decode ~resolve_table)
 
-let read_entry ~resolve_table ~path ~key =
-  Result.bind (read_file path) (decode_entry ~resolve_table ~key)
+(* A store written by [Store.save] holds each key once; should a file
+   repeat one, the last copy wins, as it does for [Store.load_result]
+   and the serving engine's snapshot. *)
+let read_entry ~read_rows ~path ~key =
+  match
+    Result.bind (read_file path)
+      (walk
+         ~tables:(Sampled { read_rows; counts = false })
+         ~wanted:(String.equal key) ~finish:entry)
+  with
+  | Error _ as e -> e
+  | Ok [] ->
+      Error
+        (Fault.Store_mismatch
+           { what = "key"; detail = key ^ " missing from store" })
+  | Ok entries -> Ok (List.nth entries (List.length entries - 1))
+
+let read_served ~read_rows ~path =
+  Result.bind (read_file path)
+    (walk
+       ~tables:(Sampled { read_rows; counts = true })
+       ~wanted:(fun _ -> true) ~finish:served)

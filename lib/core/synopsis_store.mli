@@ -14,7 +14,9 @@
     samples with their sentry bookkeeping.
 
     Tables themselves are {e not} stored — only sampled row indices — so
-    decoding takes a resolver from table name to table and refuses (typed
+    decoding takes a resolver from table name to table ({!decode},
+    {!read}) or to just the sampled rows ({!read_served},
+    {!read_entry}, what a server reads) and refuses (typed
     {!Fault.Store_mismatch}, never a crash) to rehydrate against data
     whose fingerprint differs from the recorded one.
 
@@ -75,28 +77,24 @@ val decode :
     its resolved table ([what = "row"]) — comes back as
     [Error (Store_mismatch _)]; this function never raises.
 
-    The payload and each shard segment are checksummed and read in place,
-    as ranges of the image; positions in a fault's detail count from the
-    start of the payload or segment. Each distinct table name is passed
-    to [resolve_table] and fingerprinted once per call, however many
-    entries name it, and every entry checks the result against its own
-    recorded fingerprints. The entries therefore share their tables
-    physically, which is sound because a [Table.t] is never mutated. *)
+    The whole payload is checked first — the header, the payload
+    checksum, and every entry's structure, shard segment lengths,
+    checksums and trailing bytes — before any table is resolved; then
+    each entry, in file order, resolves its tables, checks their
+    fingerprints and its row indices, and builds its samples. An image
+    with two faults therefore reports a structural one before a table,
+    fingerprint or row fault of an earlier entry. The payload and each
+    shard segment are checksummed and read in place, as ranges of the
+    image; positions in a fault's detail count from the start of the
+    payload or segment.
 
-val decode_entry :
-  resolve_table:(string -> Table.t) ->
-  key:string ->
-  string ->
-  (stored, Fault.error) result
-(** The entry stored under [key], through the same decoder as {!decode}.
-    Every whole-file check still runs — magic, version, schema hash,
-    payload checksum, each shard segment's length, checksum and
-    trailing bytes, no bytes after the last entry — but only [key]'s two
-    tables are resolved and fingerprint-checked and only its samples are
-    built: the other entries are walked, never rehydrated, so a missing
-    or changed table of another entry does not fail this call. A key
-    absent from the image is [Error (Store_mismatch {what = "key"; _})].
-    Never raises. *)
+    Each distinct table name is passed to [resolve_table] and
+    fingerprinted once per call, however many entries name it, and every
+    entry checks the result against its own recorded fingerprints. The
+    entries therefore share their whole tables physically, which is
+    sound because a [Table.t] is never mutated; their row indices address
+    those tables, so the result can be re-encoded or maintained by
+    delta ({!Synopsis_shard}). *)
 
 val write : path:string -> stored list -> unit
 (** Crash-safe: the image is written to a temp file in [path]'s directory
@@ -111,10 +109,54 @@ val read :
 (** [encode]/[decode] through a file; unreadable files are
     [Error (Store_mismatch {what = "file"; _})]. *)
 
+(** {2 The serving reads}
+
+    A server answers from the sampled rows alone, so these two reads
+    resolve each table name through a {!Table.row_reader} (once per
+    call, for the union of the rows the wanted entries sample) and build
+    each sample over a table of just those rows: its row indices are
+    renumbered into that table, so an entry they return must not be
+    re-encoded. Every check, fault and fault text is {!decode}'s, in its
+    order; the fingerprint and row-range checks use the whole table's
+    fingerprint and cardinality, which the reader reports. A reader that
+    raises, for a missing file or a column the table lacks, fails the
+    read with [what = "table"]. *)
+
+type side = {
+  cardinality : int;  (** rows of the whole base table *)
+  distinct : int;
+      (** {!Table.distinct_count} of the sample's join column over the
+          whole base table *)
+}
+
+type served = {
+  entry : stored;  (** samples over their sampled rows only *)
+  side_a : side;  (** the table of [entry.synopsis.sample_a] *)
+  side_b : side;  (** the table of [entry.synopsis.sample_b] *)
+}
+(** One entry as a server loads it, with what the independence prior
+    needs of its two whole tables. *)
+
+val read_served :
+  read_rows:Table.row_reader ->
+  path:string ->
+  (served list, Fault.error) result
+(** Every entry of the store at [path], as {!read} reads them but over
+    their sampled rows, each with its two {!side}s: what a server loads
+    at start-up and on reload. Never raises. *)
+
 val read_entry :
-  resolve_table:(string -> Table.t) ->
+  read_rows:Table.row_reader ->
   path:string ->
   key:string ->
   (stored, Fault.error) result
-(** {!decode_entry} through a file, as {!read} is {!decode}: the
-    per-key load of a serving cache miss. *)
+(** The entry stored under [key], over its sampled rows: the per-key load
+    of a serving cache miss. Every whole-file check still runs — magic,
+    version, schema hash, payload checksum, each shard segment's length,
+    checksum and trailing bytes, no bytes after the last entry — but only
+    [key]'s tables are read and fingerprint-checked, and only its samples
+    are built: the other entries are walked, never rehydrated, so a
+    missing or changed table of another entry does not fail this call.
+    No distinct count is asked for. A key absent from the file is
+    [Error (Store_mismatch {what = "key"; _})]; should the file repeat a
+    key, the last copy wins. Never raises. *)

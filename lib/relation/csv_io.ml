@@ -305,8 +305,10 @@ let read schema path =
 
 (* ---------------- schema inference ---------------- *)
 
-let read_auto path =
-  Repro_util.Scratch.with_ slot @@ fun s ->
+(* Scan [path] into [s] and type its columns: the record count (header
+   included), each column's type and the schema. Every failure of
+   [read_auto] is raised here, in its order. *)
+let infer s path =
   let n = scan_image s (load s path) in
   if n = 0 then failwith "empty CSV file";
   (* an unterminated quote anywhere in the file is reported before any
@@ -327,12 +329,117 @@ let read_auto path =
   let schema =
     Schema.make (List.init arity (fun j -> (field_string s j, types.(j))))
   in
+  (n, types, schema)
+
+(* Record [r] as a row under the inferred [types]. *)
+let row_of s types r =
+  let arity = Array.length types in
+  let row = Array.make arity Value.Null and first = first_of s r in
+  for j = 0 to arity - 1 do
+    row.(j) <- cell types.(j) s (first + j)
+  done;
+  row
+
+let read_auto path =
+  Repro_util.Scratch.with_ slot @@ fun s ->
+  let n, types, schema = infer s path in
   let rows = Array.make (n - 1) [||] in
   for r = 1 to n - 1 do
-    let row = Array.make arity Value.Null and first = first_of s r in
-    for j = 0 to arity - 1 do
-      row.(j) <- cell types.(j) s (first + j)
-    done;
-    rows.(r - 1) <- row
+    rows.(r - 1) <- row_of s types r
   done;
   Table.create schema rows
+
+(* ---------------- sampled rows ---------------- *)
+
+(* The int a field of an int column reads as: the scanner's value when it
+   took the fast path, else the stdlib's. *)
+let int_field s f =
+  let v = fast_int s f in
+  if v <> min_int then v else int_of_string (field_string s f)
+
+(* The FNV-1a steps of [Table.fingerprint], repeated here so that they
+   inline into the cell loop below and keep its accumulator unboxed:
+   modules are compiled [-opaque] in dev builds, which stops inlining
+   across them. test_load.ml holds the two to the same bytes. *)
+let[@inline] fnv_byte h b =
+  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001b3L
+
+let[@inline] fnv_int64 h x =
+  let h = fnv_byte h (Int64.to_int x) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 8)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 16)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 24)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 32)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 40)) in
+  let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 48)) in
+  fnv_byte h (Int64.to_int (Int64.shift_right_logical x 56))
+
+(* [Table.fingerprint] of the table [read_auto] builds, hashed from the
+   fields: per cell the tag byte and payload [cell] would produce, in row
+   order. Only a float cell, or an int the scanner's fast path did not
+   read, allocates: the substring the stdlib parses. *)
+let fingerprint_fields s n types schema =
+  let h = ref (Table.fingerprint_header ~cardinality:(n - 1) schema) in
+  let b = s.image in
+  for r = 1 to n - 1 do
+    let first = first_of s r in
+    for j = 0 to Array.length types - 1 do
+      let f = first + j in
+      let len = field_len s f in
+      if len = 0 then h := fnv_byte !h 0
+      else
+        match types.(j) with
+        | Schema.T_int ->
+            h := fnv_int64 (fnv_byte !h 1) (Int64.of_int (int_field s f))
+        | Schema.T_float ->
+            h :=
+              fnv_int64 (fnv_byte !h 2)
+                (Int64.bits_of_float (float_of_string (field_string s f)))
+        | Schema.T_string ->
+            h := fnv_int64 (fnv_byte !h 3) (Int64.of_int len);
+            let start = s.fields.(3 * f) in
+            for i = start to start + len - 1 do
+              h := fnv_byte !h (Char.code (Bytes.unsafe_get b i))
+            done
+    done
+  done;
+  !h
+
+(* [Table.distinct_count] of column [j] of the table [read_auto] builds:
+   the same cells into the same kind of table, without the rows. *)
+let distinct_fields s n types j =
+  let seen = Value.Tbl.create 1024 in
+  for r = 1 to n - 1 do
+    let f = first_of s r + j in
+    if field_len s f > 0 then begin
+      let v = cell types.(j) s f in
+      if not (Value.Tbl.mem seen v) then Value.Tbl.add seen v ()
+    end
+  done;
+  Value.Tbl.length seen
+
+let read_rows path ~columns ~rows =
+  Repro_util.Scratch.with_ slot @@ fun s ->
+  let n, types, schema = infer s path in
+  let cardinality = n - 1 in
+  let picked =
+    Array.of_seq
+      (Seq.filter_map
+         (fun i ->
+           if i >= 0 && i < cardinality then Some (row_of s types (i + 1))
+           else None)
+         (Array.to_seq rows))
+  in
+  let rows = Table.create schema picked in
+  let distinct =
+    List.map
+      (fun c -> (c, distinct_fields s n types (Table.column_index rows c)))
+      columns
+  in
+  {
+    Table.schema;
+    cardinality;
+    fingerprint = fingerprint_fields s n types schema;
+    distinct;
+    rows;
+  }

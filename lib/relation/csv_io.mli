@@ -7,7 +7,9 @@
     row (historical behaviour), {!read_strict} returns it as a located
     [Error], and {!read_lenient} skips malformed rows and reports them as
     diagnostics — the mode a production ingest wants when one bad row must
-    not sink a load. {!read_auto} infers the schema.
+    not sink a load. {!read_auto} infers the schema, and {!read_rows}
+    does the same scan for a server that needs only a few rows of the
+    table (see {!Table.sampled}).
 
     The scanner reads the whole file, to end of file (a pipe or FIFO
     works), into a buffer owned by the calling domain, then splits it in
@@ -78,3 +80,19 @@ val read_auto : string -> Table.t
     - [Failure "line N: expected A fields, got B"] for the first record,
       in file order, whose field count differs from the header's;
     - [Invalid_argument] from {!Schema.make} for a duplicate header name. *)
+
+val read_rows : string -> columns:string list -> rows:int array -> Table.sampled
+(** [read_rows path ~columns ~rows] is what {!Table.read_rows} returns for
+    [read_auto path], from one scan that builds no whole table: the same
+    checks, failures (in the same order) and whole-column typing; the
+    cardinality; {!Table.fingerprint} hashed from the scanned fields cell
+    by cell, in the byte order it uses; {!Table.distinct_count} of each
+    named column, counted over every data row; and only the requested
+    rows inside [[0, cardinality)], in request order. A named column the
+    header lacks raises [Invalid_argument] with {!Table.distinct_count}'s
+    text, after every failure of {!read_auto}. The scan reuses the
+    calling domain's buffers, as {!read_auto} does, so with no named
+    column it allocates little beyond the requested rows (a string per
+    float cell and per cell the fast int path cannot read); a named
+    column costs a value per non-empty cell and a table of its distinct
+    values. *)

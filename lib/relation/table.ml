@@ -148,21 +148,23 @@ let fnv_string h s =
   done;
   !h
 
+let fingerprint_header ~cardinality schema =
+  List.fold_left
+    (fun h (name, ty) ->
+      fnv_byte (fnv_string h name)
+        (match ty with
+        | Schema.T_int -> 0
+        | Schema.T_float -> 1
+        | Schema.T_string -> 2))
+    (fnv_int64 fnv_offset (Int64.of_int cardinality))
+    (Schema.columns schema)
+
 (* The cell loop keeps its accumulator in a local that no closure or call
    boxes: a string's bytes are hashed inline, not through [fnv_string]. *)
 let fingerprint t =
-  let h0 = ref (fnv_int64 fnv_offset (Int64.of_int (cardinality t))) in
-  List.iter
-    (fun (name, ty) ->
-      h0 := fnv_string !h0 name;
-      h0 :=
-        fnv_byte !h0
-          (match ty with
-          | Schema.T_int -> 0
-          | Schema.T_float -> 1
-          | Schema.T_string -> 2))
-    (Schema.columns t.schema);
-  let h = ref !h0 in
+  let h =
+    ref (fingerprint_header ~cardinality:(cardinality t) t.schema)
+  in
   for r = 0 to Array.length t.rows - 1 do
     let row = t.rows.(r) in
     for c = 0 to Array.length row - 1 do
@@ -187,3 +189,27 @@ let pp_head ?(limit = 10) fmt t =
     Format.fprintf fmt "  %s@." (String.concat " | " cells)
   done;
   if cardinality t > shown then Format.fprintf fmt "  ...@."
+
+type sampled = {
+  schema : Schema.t;
+  cardinality : int;
+  fingerprint : int64;
+  distinct : (string * int) list;
+  rows : t;
+}
+
+type row_reader = string -> columns:string list -> rows:int array -> sampled
+
+let read_rows t ~columns ~rows =
+  let distinct = List.map (fun c -> (c, distinct_count t c)) columns in
+  let n = cardinality t in
+  {
+    schema = t.schema;
+    cardinality = n;
+    fingerprint = fingerprint t;
+    distinct;
+    rows =
+      select_rows t
+        (Array.of_seq
+           (Seq.filter (fun i -> i >= 0 && i < n) (Array.to_seq rows)));
+  }

@@ -59,3 +59,34 @@ val fingerprint : t -> int64
     payload (an int's or a float's 64 bits little-endian, a string's
     length then bytes). The loop keeps its accumulator unboxed and
     allocates nothing per cell. *)
+
+val fingerprint_header : cardinality:int -> Schema.t -> int64
+(** The hash {!fingerprint} has reached after the cardinality and the
+    schema, before the first cell: where a reader that never builds the
+    table ({!Csv_io.read_rows}) starts hashing its cells, in the byte
+    order above. *)
+
+(** What a server needs of a base table it rehydrates sampled rows from:
+    the whole table's schema, cardinality, {!fingerprint} and per-column
+    {!distinct_count}, and only the rows a synopsis samples. *)
+type sampled = {
+  schema : Schema.t;
+  cardinality : int;
+  fingerprint : int64;  (** {!fingerprint} of the whole table *)
+  distinct : (string * int) list;
+      (** [(c, distinct_count table c)] for each requested column [c], in
+          request order *)
+  rows : t;
+      (** the requested rows inside [[0, cardinality)], in request order,
+          duplicates kept; an index outside that range is skipped *)
+}
+
+type row_reader = string -> columns:string list -> rows:int array -> sampled
+(** A table name to its {!sampled} part. {!Csv_io.read_rows} is one over
+    CSV paths; [fun name -> read_rows (resolve name)] is one for any
+    [resolve : string -> t]. *)
+
+val read_rows : t -> columns:string list -> rows:int array -> sampled
+(** The whole-table {!row_reader}: {!fingerprint}, {!distinct_count} and
+    {!select_rows} of a table already built. Raises [Invalid_argument]
+    for a column the table lacks, as {!distinct_count} does. *)

@@ -46,7 +46,7 @@ type t = {
   clock : Clock.t;
   sleep : Clock.sleeper;
   store_path : string;
-  resolve_table : string -> Table.t;
+  read_rows : Table.row_reader;
   metas : (string, meta) Hashtbl.t Atomic.t;
       (* immutable snapshot, swapped wholesale by [reload]; requests read
          it once at entry, so a swap never disturbs one in flight *)
@@ -67,16 +67,16 @@ type t = {
 }
 
 (* |A| * |B| / max(d_A, d_B): the System-R independence prior of
-   [Estimator.independence_prior], computed from the stored synopsis'
-   table handles instead of a full profile (the formula is symmetric, so
-   sampler orientation does not matter). [side] gives a sample's
-   cardinality and distinct count; see [side_counts]. *)
-let prior_of_synopsis side (syn : Csdl.Synopsis.t) =
-  let card_a, d_a = side syn.sample_a in
-  let card_b, d_b = side syn.sample_b in
-  let d = max d_a d_b in
+   [Estimator.independence_prior], from the whole tables' counts the
+   decode reports (the formula is symmetric, so sampler orientation does
+   not matter). *)
+let prior_of_served (s : Csdl.Synopsis_store.served) =
+  let d = max s.side_a.distinct s.side_b.distinct in
   if d = 0 then 0.0
-  else float_of_int card_a *. float_of_int card_b /. float_of_int d
+  else
+    float_of_int s.side_a.cardinality
+    *. float_of_int s.side_b.cardinality
+    /. float_of_int d
 
 let cache_key_of_stored (s : Csdl.Synopsis_store.stored) =
   let resolved = s.synopsis.Csdl.Synopsis.resolved in
@@ -88,32 +88,30 @@ let cache_key_of_stored (s : Csdl.Synopsis_store.stored) =
     prng_key = s.prng_key;
   }
 
-(* One snapshot's side counts, each (table, column) counted once: the
-   entries of one decode share their tables physically. *)
-let side_counts () =
-  let seen = ref [] in
-  fun (s : Csdl.Sample.t) ->
-    match
-      List.find_opt
-        (fun (table, column, _) ->
-          table == s.table && String.equal column s.column)
-        !seen
-    with
-    | Some (_, _, counts) -> counts
-    | None ->
-        let counts =
-          (Table.cardinality s.table, Table.distinct_count s.table s.column)
-        in
-        seen := (s.table, s.column, counts) :: !seen;
-        counts
-
-let meta_of_stored side (s : Csdl.Synopsis_store.stored) =
+let meta_of_served (s : Csdl.Synopsis_store.served) =
   {
-    m_cache_key = cache_key_of_stored s;
-    m_swapped = s.swapped;
-    m_prior = prior_of_synopsis side s.synopsis;
-    m_shards = s.shards;
+    m_cache_key = cache_key_of_stored s.entry;
+    m_swapped = s.entry.swapped;
+    m_prior = prior_of_served s;
+    m_shards = s.entry.shards;
   }
+
+(* A decoded store as a snapshot: each key's metadata, and each entry's
+   flat view, handed to [insert] (the cache) and kept for the sentinel
+   replay. *)
+let snapshot ~insert entries =
+  let metas = Hashtbl.create 16 in
+  let flats =
+    List.map
+      (fun (s : Csdl.Synopsis_store.served) ->
+        let meta = meta_of_served s in
+        let flat = Csdl.Synopsis_flat.of_synopsis s.entry.synopsis in
+        Hashtbl.replace metas s.entry.key meta;
+        insert meta flat;
+        (s.entry, flat))
+      entries
+  in
+  (metas, flats)
 
 (* A miss must serve the synopsis its snapshot describes. The store file
    can be rewritten under a live server (a rebuild or a delta) and is
@@ -202,7 +200,12 @@ let drift_status t = Atomic.get t.drift
 let sentinel_window t = t.sentinel_window
 
 let create ?(obs = Obs.null) ?(clock = Clock.wall) ?(sleep = Clock.sleepf)
-    config ~resolve_table ~store_path =
+    ?read_rows config ~resolve_table ~store_path =
+  let read_rows =
+    match read_rows with
+    | Some read_rows -> read_rows
+    | None -> fun name -> Table.read_rows (resolve_table name)
+  in
   let config =
     {
       config with
@@ -213,21 +216,13 @@ let create ?(obs = Obs.null) ?(clock = Clock.wall) ?(sleep = Clock.sleepf)
       drift_limit = Float.max 1.0 config.drift_limit;
     }
   in
-  match Csdl.Synopsis_store.read ~resolve_table ~path:store_path with
+  match Csdl.Synopsis_store.read_served ~read_rows ~path:store_path with
   | Error _ as e -> e
   | Ok entries ->
-      let metas = Hashtbl.create 16 in
       let cache = Cache.create ~obs ~capacity:config.cache_capacity () in
-      let side = side_counts () in
-      let flats =
-        List.map
-          (fun (s : Csdl.Synopsis_store.stored) ->
-            let meta = meta_of_stored side s in
-            let flat = Csdl.Synopsis_flat.of_synopsis s.synopsis in
-            Hashtbl.replace metas s.key meta;
-            Cache.insert cache meta.m_cache_key flat;
-            (s, flat))
-          entries
+      let metas, flats =
+        snapshot entries ~insert:(fun meta flat ->
+            Cache.insert cache meta.m_cache_key flat)
       in
       Obs.count obs "server.requests.total" 0;
       List.iter
@@ -247,7 +242,7 @@ let create ?(obs = Obs.null) ?(clock = Clock.wall) ?(sleep = Clock.sleepf)
           clock;
           sleep;
           store_path;
-          resolve_table;
+          read_rows;
           metas = Atomic.make metas;
           cache;
           cache_mutex = Mutex.create ();
@@ -289,8 +284,9 @@ let cache_insert t meta syn =
   Mutex.unlock t.cache_mutex
 
 (* One per-key read of the store file, with chaos injection. Only the
-   entry for [key] is rehydrated — its two tables resolved and
-   fingerprint-checked — while the rest of the file is still verified.
+   entry for [key] is rehydrated — the rows it samples read from its two
+   tables, whose fingerprints are checked — while the rest of the file is
+   still verified.
    Chaos draws from a per-load keyed stream, so a run replays exactly
    from (seed, load sequence); a silent corruption is returned as [Ok] on
    purpose — the checked estimator, not the loader, must catch it. *)
@@ -298,7 +294,7 @@ let load_once t key meta seq =
   Obs.count t.obs "server.loads.total" 1;
   match
     Result.bind
-      (Csdl.Synopsis_store.read_entry ~resolve_table:t.resolve_table
+      (Csdl.Synopsis_store.read_entry ~read_rows:t.read_rows
          ~path:t.store_path ~key)
       (check_snapshot meta)
   with
@@ -394,23 +390,12 @@ let reload t =
   Single_flight.run t.reloads "reload" (fun () ->
       Obs.count t.obs "server.reloads.total" 1;
       match
-        Csdl.Synopsis_store.read ~resolve_table:t.resolve_table
+        Csdl.Synopsis_store.read_served ~read_rows:t.read_rows
           ~path:t.store_path
       with
       | Error fault -> Error fault
       | Ok entries ->
-          let metas = Hashtbl.create 16 in
-          let side = side_counts () in
-          let flats =
-            List.map
-              (fun (s : Csdl.Synopsis_store.stored) ->
-                let meta = meta_of_stored side s in
-                let flat = Csdl.Synopsis_flat.of_synopsis s.synopsis in
-                Hashtbl.replace metas s.key meta;
-                cache_insert t meta flat;
-                (s, flat))
-              entries
-          in
+          let metas, flats = snapshot entries ~insert:(cache_insert t) in
           Atomic.set t.metas metas;
           replay_sentinels t flats;
           Ok (Hashtbl.length metas))

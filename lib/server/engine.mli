@@ -10,7 +10,8 @@
     shared by every domain missing on the same key; a per-key circuit
     breaker; and retry with jittered backoff. A load reads only the
     missed key's entry ({!Csdl.Synopsis_store.read_entry}: the whole file
-    verified, that key's two tables resolved) and must match the
+    verified, only the rows that key samples read from its tables, whose
+    fingerprints must still match) and must match the
     snapshot's metadata; an entry rewritten since the last {!reload}
     degrades with [Store_mismatch {what = "snapshot"}], unretried. Every
     failure mode ends in a typed outcome — never an exception and never a
@@ -59,6 +60,7 @@ val create :
   ?obs:Repro_obs.Obs.ctx ->
   ?clock:Repro_util.Clock.t ->
   ?sleep:Repro_util.Clock.sleeper ->
+  ?read_rows:Table.row_reader ->
   config ->
   resolve_table:(string -> Table.t) ->
   store_path:string ->
@@ -67,7 +69,19 @@ val create :
     cache (up to [cache_capacity] entries). [Error _] means the store
     itself is unreadable — the server refuses to start rather than serve
     nothing. [clock]/[sleep] are injectable for tests; a live [obs]
-    context feeds the [server.*] and [synopsis_cache.*] metrics. *)
+    context feeds the [server.*] and [synopsis_cache.*] metrics.
+
+    The start-up decode, every {!reload} and every cache miss read the
+    base tables through [read_rows]
+    ({!Csdl.Synopsis_store.read_served}, {!Csdl.Synopsis_store.read_entry}):
+    only the rows the synopses sample are built, and each key's
+    independence prior takes the whole tables' cardinalities and
+    join-column distinct counts from the start-up or reload decode.
+    [repro_cli serve] passes {!Repro_relation.Csv_io.read_rows}, so the
+    daemon never builds a whole table. The default,
+    [fun name -> Table.read_rows (resolve_table name)], builds each
+    whole table and keeps only those rows, with the same results;
+    [resolve_table] is used only through it. *)
 
 val keys : t -> string list
 (** Served keys, sorted. *)

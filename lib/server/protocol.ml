@@ -95,8 +95,12 @@ let parse_request line =
   | "reload" -> Ok Reload
   | "quit" -> Ok Quit
   | _ ->
-      if String.length line >= 8 && String.sub line 0 8 = "estimate" then
-        parse_estimate (String.sub line 8 (String.length line - 8))
+      (* the verb is a whole word: a space or the end of the line ends
+         it, so "estimatek1" is not an estimate of key "k1" *)
+      if
+        String.starts_with ~prefix:"estimate" line
+        && (String.length line = 8 || line.[8] = ' ')
+      then parse_estimate (String.sub line 8 (String.length line - 8))
       else
         Error
           "unknown verb (try: estimate, health, ready, keys, metrics, slo, \

@@ -14,6 +14,8 @@
       quit
     v}
 
+    A verb is a whole word: [estimate] must be followed by a space or the
+    end of the line ([estimatek1] is an unknown verb, not key [k1]).
     [<left>]/[<right>] are selection predicates in
     {!Repro_relation.Predicate_parser} syntax, in the same [;;]-separated
     shape as a [repro_cli batch] query line; an empty or omitted side

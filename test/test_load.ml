@@ -335,6 +335,90 @@ let test_missing_file () =
   Alcotest.(check bool) "it is one" true (Result.is_error expected)
 
 (* ------------------------------------------------------------------ *)
+(* The serving reader against read_auto                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Row requests: empty, one row, duplicates, unsorted, every row, and
+   indices past any table of the grammar's size, which the reader
+   skips. *)
+let rows_gen =
+  let open G in
+  let index = frequency [ (8, int_range 0 14); (1, int_range 15 100) ] in
+  frequency
+    [
+      (1, return (`These [||]));
+      (2, map (fun i -> `These [| i |]) index);
+      (2, map (fun i -> `These [| i; i; i |]) index);
+      (4, map (fun l -> `These (Array.of_list l)) (list_size (int_range 2 8) index));
+      (2, return `All);
+    ]
+
+(* names of the grammar's headers, and one no header has *)
+let column_pool = [| "c0"; "c1"; "c2"; "c3"; "id"; "a"; "x y"; ""; "nope" |]
+
+let request_arb =
+  let gen =
+    G.triple text_gen rows_gen
+      (G.list_size (G.int_range 0 3) (G.oneofa column_pool))
+  in
+  QCheck.make
+    ~print:(fun ((_, text), rows, columns) ->
+      Printf.sprintf "%S rows=%s columns=[%s]" text
+        (match rows with
+        | `All -> "all"
+        | `These a ->
+            String.concat ";" (Array.to_list (Array.map string_of_int a)))
+        (String.concat ";" (List.map (Printf.sprintf "%S") columns)))
+    gen
+
+let same_sampled (a : Table.sampled) (b : Table.sampled) =
+  Schema.columns a.schema = Schema.columns b.schema
+  && a.cardinality = b.cardinality
+  && Int64.equal a.fingerprint b.fingerprint
+  && a.distinct = b.distinct
+  && Table.cardinality a.rows = Table.cardinality b.rows
+  && same_table a.rows b.rows
+
+(* [read_auto] then the whole-table statistics, spelled out: what the
+   serving reader must return from its one scan. *)
+let expected_sampled path ~columns ~rows : Table.sampled =
+  let t = Csv_io.read_auto path in
+  let n = Table.cardinality t in
+  let distinct = List.map (fun c -> (c, Table.distinct_count t c)) columns in
+  let rows = List.filter (fun i -> i >= 0 && i < n) (Array.to_list rows) in
+  {
+    schema = Table.schema t;
+    cardinality = n;
+    fingerprint = Table.fingerprint t;
+    distinct;
+    rows = Table.of_rows (Table.schema t) (List.map (Table.row t) rows);
+  }
+
+let prop_read_rows =
+  QCheck.Test.make ~count:3000
+    ~name:"read_rows is read_auto's schema, fingerprint, counts and rows"
+    request_arb (fun ((_, text), rows, columns) ->
+      with_text text (fun path ->
+          let rows =
+            match rows with
+            | `These a -> a
+            | `All -> (
+                match Csv_io.read_auto path with
+                | t -> Array.init (Table.cardinality t) Fun.id
+                | exception _ -> [||])
+          in
+          let expected =
+            outcome (fun () -> expected_sampled path ~columns ~rows)
+          in
+          same_outcome same_sampled
+            (outcome (fun () -> Csv_io.read_rows path ~columns ~rows))
+            expected
+          && same_outcome same_sampled
+               (outcome (fun () ->
+                    Table.read_rows (Csv_io.read_auto path) ~columns ~rows))
+               expected))
+
+(* ------------------------------------------------------------------ *)
 (* Fingerprint and store checksum against the oracle                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -457,6 +541,35 @@ let test_read_auto_allocation () =
       let words = float_of_int (Obj.reachable_words (Obj.repr table)) in
       if allocated > 1.5 *. words then
         Alcotest.failf "read_auto allocated %.0f words for a %.0f-word table"
+          allocated words)
+
+(* The serving reader builds no whole table: a cache miss's read, a few
+   rows out of 2,000 and no distinct count, costs a small fraction of the
+   table [read_auto] builds. *)
+let test_read_rows_allocation () =
+  let path = Filename.temp_file "repro-load" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_ints path ~rows:2000 ~seed:5;
+      let read () =
+        Csv_io.read_rows path ~columns:[] ~rows:[| 3; 1999; 3; 700 |]
+      in
+      ignore (read ());
+      let minor0 = Gc.minor_words () in
+      let _, promoted0, major0 = Gc.counters () in
+      let sampled = read () in
+      let _, promoted1, major1 = Gc.counters () in
+      let minor1 = Gc.minor_words () in
+      let allocated =
+        minor1 -. minor0 +. (major1 -. major0 -. (promoted1 -. promoted0))
+      in
+      let words =
+        float_of_int (Obj.reachable_words (Obj.repr (Csv_io.read_auto path)))
+      in
+      Alcotest.(check int) "four rows" 4 (Table.cardinality sampled.rows);
+      if allocated > 0.05 *. words then
+        Alcotest.failf "read_rows allocated %.0f words; the table is %.0f"
           allocated words)
 
 let table_k_attr_name counts =
@@ -595,6 +708,7 @@ let () =
             prop_fingerprint;
             prop_distinct_count;
             prop_checksum;
+            prop_read_rows;
           ]
         @ [ Alcotest.test_case "missing file" `Quick test_missing_file ] );
       ( "inference",
@@ -611,5 +725,7 @@ let () =
             test_flats_release_tables;
           Alcotest.test_case "read_auto on 4 domains" `Quick
             test_read_auto_domains;
+          Alcotest.test_case "read_rows builds no whole table" `Quick
+            test_read_rows_allocation;
         ] );
     ]

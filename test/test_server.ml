@@ -342,7 +342,129 @@ let test_protocol_parse_request () =
       ("estimate k id=bad!char", None);
       ("frobnicate", None);
       ("estimate k1 ;; attr <", None);
+    ];
+  (* the verb is a whole word: glued to what follows it, it is no verb *)
+  List.iter
+    (fun line ->
+      match Protocol.parse_request line with
+      | Error e when String.starts_with ~prefix:"unknown verb" e -> ()
+      | Error e -> Alcotest.failf "parse %S: %s, not an unknown verb" line e
+      | Ok _ -> Alcotest.failf "parse %S: accepted" line)
+    [ "estimatek1"; "estimate_x ;; a < 1"; "estimates k"; "estimate\tk" ];
+  match Protocol.parse_request "estimate" with
+  | Error e when String.starts_with ~prefix:"estimate needs a key" e -> ()
+  | _ -> Alcotest.fail "a bare verb asks for a key"
+
+(* ---------------- wire-grammar properties ---------------- *)
+
+module G = QCheck.Gen
+
+let grammar_tokens =
+  [|
+    "estimate"; "estimate "; "estimatek"; "health"; "ready"; "keys";
+    "metrics"; "slo"; "reload"; "quit"; "frobnicate"; "k"; "k1"; "a-b";
+    "id="; "id=req-1"; "id=bad!char"; "deadline="; "deadline=0.5";
+    "deadline=-1"; "deadline=nan"; "deadline=1e308"; ";;"; ";"; " "; "  ";
+    "\t"; "attr"; "<"; "<="; "="; "!="; "<>"; ">="; "3"; "-2.5"; "'x'";
+    "'a%'"; "'%b%'"; "'"; "("; ")"; "and"; "OR"; "NOT"; "LIKE"; "true";
+  |]
+
+(* Lines built from the grammar's own tokens, and arbitrary bytes (NUL
+   and non-UTF-8 included) after a well-formed head. *)
+let wire_line_gen =
+  G.frequency
+    [
+      ( 3,
+        G.map (String.concat "")
+          (G.list_size (G.int_range 0 12) (G.oneofa grammar_tokens)) );
+      ( 2,
+        G.map (fun tail -> "estimate k ;; " ^ tail)
+          (G.string_size ~gen:G.char (G.int_range 0 40)) );
+      (1, G.string_size ~gen:G.char (G.int_range 0 40));
     ]
+
+let prop_parse_request_total =
+  QCheck.Test.make ~count:5000
+    ~name:"parse_request never raises, in bounded time"
+    (QCheck.make ~print:(Printf.sprintf "%S") wire_line_gen)
+    (fun line ->
+      let started = Sys.time () in
+      match Protocol.parse_request line with
+      | Ok _ | Error _ -> Sys.time () -. started < 0.1)
+
+let ident_gen = G.oneofa [| "attr"; "k"; "name"; "production_year" |]
+
+let atom_gen =
+  G.oneof
+    [
+      G.map3
+        (fun c op v -> Printf.sprintf "%s %s %d" c op v)
+        ident_gen
+        (G.oneofa [| "="; "!="; "<>"; "<"; "<="; ">"; ">=" |])
+        (G.int_range (-50) 50);
+      G.map2
+        (fun c s -> Printf.sprintf "%s LIKE '%s%%'" c s)
+        ident_gen
+        (G.string_size ~gen:(G.char_range 'a' 'z') (G.int_range 0 4));
+      G.map2 (fun c f -> Printf.sprintf "%s >= %g" c f) ident_gen
+        (G.float_range (-10.0) 10.0);
+    ]
+
+let pred_gen =
+  G.frequency
+    [
+      (1, G.return "");
+      (1, G.return "  ");
+      (3, atom_gen);
+      ( 2,
+        G.map3
+          (fun a conn b -> Printf.sprintf "%s %s (%s)" a conn b)
+          atom_gen (G.oneofa [| "AND"; "OR" |]) atom_gen );
+      (1, G.map (fun a -> "NOT " ^ a) atom_gen);
+    ]
+
+let request_gen =
+  let open G in
+  let* key =
+    string_size ~gen:(oneofa [| 'a'; 'z'; '0'; '9'; '-'; '_'; '.' |])
+      (int_range 1 12)
+  in
+  let* id =
+    opt
+      (string_size ~gen:(oneofa [| 'r'; 'q'; '0'; '7'; '-'; '_' |])
+         (int_range 1 16))
+  in
+  (* thousandths print exactly under the renderer's %g *)
+  let* deadline_s =
+    opt (map (fun k -> float_of_int (k + 1) /. 1000.0) (int_bound 999_998))
+  in
+  let* preds = opt (pair pred_gen pred_gen) in
+  return (key, id, deadline_s, preds)
+
+let expected_pred s =
+  match String.trim s with
+  | "" -> None
+  | s -> Some (Predicate_parser.parse_exn s)
+
+let prop_render_parse_roundtrip =
+  QCheck.Test.make ~count:3000
+    ~name:"render_estimate then parse_request gives the request back"
+    (QCheck.make
+       ~print:(fun (key, id, d, preds) ->
+         Protocol.render_estimate ~key ?id ?deadline_s:d
+           ?pred_a:(Option.map fst preds) ?pred_b:(Option.map snd preds) ())
+       request_gen)
+    (fun (key, id, deadline_s, preds) ->
+      let pred_a = Option.map fst preds and pred_b = Option.map snd preds in
+      let line =
+        Protocol.render_estimate ~key ?id ?deadline_s ?pred_a ?pred_b ()
+      in
+      match Protocol.parse_request line with
+      | Ok (Protocol.Estimate r) ->
+          r.key = key && r.id = id && r.deadline_s = deadline_s
+          && r.pred_a = Option.bind pred_a expected_pred
+          && r.pred_b = Option.bind pred_b expected_pred
+      | Ok _ | Error _ -> false)
 
 let test_protocol_reply_roundtrip () =
   let check_line line expect_class =
@@ -957,6 +1079,149 @@ let test_engine_answers_sentry_only_as_batch () =
   check ~what:"sentry-only first side" ~key:"a-b" "a" "b" ordinary
     ~pred_a:sentries_only
 
+(* ---------------- the CSV row reader ---------------- *)
+
+(* One store over CSVs in a temp dir — a plain entry, one the estimator
+   stores swapped and a self-join on two columns of one CSV, at 4 shards
+   — served at cache capacity 1, so every change of key is a miss, by an
+   engine on the CSV reader and by one on the default whole-table
+   adapter. Both must give every request the same outcome, bit for bit,
+   with or without chaos; each degraded value must be the key's prior
+   over the whole tables; and a CSV rewritten under both engines must
+   fail a miss with the same fingerprint fault. *)
+let test_engine_csv_reader_matches_adapter () =
+  let dir = Filename.temp_dir "repro-server" "" in
+  let csv name = Filename.concat dir (name ^ ".csv") in
+  let self =
+    Table.of_rows
+      (Schema.make [ ("c1", Schema.T_int); ("c2", Schema.T_int); ("attr", Schema.T_int) ])
+      (List.init 60 (fun i ->
+           [| Value.Int (i mod 7); Value.Int (i mod 4); Value.Int (i mod 9) |]))
+  in
+  let tables =
+    [ ("a", resolve_table "a"); ("b", resolve_table "b"); ("pk", resolve_table "pk");
+      ("fk", resolve_table "fk"); ("t", self) ]
+  in
+  List.iter (fun (name, t) -> Csv_io.write (csv name) t) tables;
+  let graphs =
+    [
+      ("ab", ("a", "k"), ("b", "k"), Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_theta);
+      ("pkfk", ("pk", "k"), ("fk", "k"), Csdl.Spec.cs2l);
+      ("self", ("t", "c1"), ("t", "c2"), Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff);
+    ]
+  in
+  let store = Csdl.Store.create () in
+  let priors =
+    List.map
+      (fun (key, (ta, ca), (tb, cb), spec) ->
+        let profile =
+          Csdl.Profile.of_tables (List.assoc ta tables) ca (List.assoc tb tables) cb
+        in
+        let estimator = Csdl.Estimator.prepare spec ~theta:0.5 profile in
+        Csdl.Store.add ~shards:4 store ~key ~table_a:(csv ta) ~table_b:(csv tb)
+          estimator (Csdl.Estimator.draw estimator (Prng.create 7));
+        (key, Csdl.Estimator.independence_prior profile ()))
+      graphs
+  in
+  Alcotest.(check bool) "fixture: pkfk is stored swapped" true
+    (match Csdl.Store.info store "pkfk" with
+    | Some i -> i.Csdl.Store.i_swapped
+    | None -> false);
+  let path = Filename.concat dir "s.bin" in
+  Csdl.Store.save store path;
+  let engines config =
+    let create ?read_rows () =
+      match
+        Engine.create ?read_rows ~sleep:Clock.no_sleep config
+          ~resolve_table:Csv_io.read_auto ~store_path:path
+      with
+      | Ok e -> e
+      | Error f -> Alcotest.failf "engine: %s" (Csdl.Fault.error_to_string f)
+    in
+    (create ~read_rows:Csv_io.read_rows (), create ())
+  in
+  let attr = Predicate.Compare (Predicate.Lt, "attr", Value.Int 4) in
+  let requests =
+    List.concat_map
+      (fun (key, _, _, _) ->
+        [ (key, None, None); (key, Some attr, None); (key, None, Some attr) ])
+      graphs
+  in
+  let serve engine (key, pred_a, pred_b) =
+    Engine.handle engine ~deadline:(far_deadline Clock.wall) ~key ?pred_a ?pred_b ()
+  in
+  let rendered = Protocol.render_outcome in
+  let same ~what (csv_engine, adapter_engine) ~check =
+    List.iter
+      (fun ((key, _, _) as request) ->
+        let got = serve csv_engine request in
+        let want = serve adapter_engine request in
+        if rendered got <> rendered want then
+          Alcotest.failf "%s, %s: CSV reader %S, adapter %S" what key
+            (rendered got) (rendered want);
+        check key got)
+      (requests @ requests)
+  in
+  let prior_check ~what key = function
+    | Engine.Degraded { value; _ } ->
+        let want = List.assoc key priors in
+        if Int64.bits_of_float value <> Int64.bits_of_float want then
+          Alcotest.failf "%s, %s: prior %h, whole tables give %h" what key value want
+    | _ -> ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let config = { Engine.default_config with cache_capacity = 1 } in
+      same ~what:"plain" (engines config) ~check:(fun key outcome ->
+          match outcome with
+          | Engine.Answered _ -> ()
+          | o -> Alcotest.failf "plain, %s: %s" key (rendered o));
+      (* batch over the same store answers as the CSV-reader engine *)
+      let csv_engine, _ = engines config in
+      List.iter
+        (fun ((key, pred_a, pred_b) as request) ->
+          let want = Csdl.Store.estimate store ~key ?pred_a ?pred_b in
+          match serve csv_engine request with
+          | Engine.Answered got when Int64.bits_of_float got = Int64.bits_of_float want -> ()
+          | o -> Alcotest.failf "%s: %s, batch %h" key (rendered o) want)
+        requests;
+      let degraded = ref 0 in
+      same ~what:"chaos"
+        (engines { config with chaos = 0.5; seed = 5 })
+        ~check:(fun key outcome ->
+          (match outcome with Engine.Degraded _ -> incr degraded | _ -> ());
+          prior_check ~what:"chaos" key outcome);
+      Alcotest.(check bool) "chaos degraded something" true (!degraded > 0);
+      (* rewrite one CSV under both engines: the next miss on a key that
+         reads it must fail its fingerprint check, on both *)
+      let live = engines config in
+      List.iter
+        (fun e -> ignore (serve e ("self", None, None)))
+        [ fst live; snd live ];
+      Csv_io.write (csv "b")
+        (Table.of_rows (Table.schema (resolve_table "b"))
+           [ [| Value.Int 1; Value.Int 0 |] ]);
+      let request = ("ab", None, None) in
+      let got = serve (fst live) request and want = serve (snd live) request in
+      Alcotest.(check string) "same fault on both" (rendered want) (rendered got);
+      match got with
+      | Engine.Degraded
+          {
+            trace =
+              [
+                {
+                  Csdl.Fault.rung = "synopsis load";
+                  fault = Csdl.Fault.Store_mismatch { what = "fingerprint"; _ };
+                };
+              ];
+            _;
+          } ->
+          prior_check ~what:"rewritten CSV" "ab" got
+      | o -> Alcotest.failf "rewritten CSV: %s" (rendered o))
+
 (* ---------------- server + client over a real socket ---------------- *)
 
 let test_server_socket_roundtrip () =
@@ -1143,6 +1408,8 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "request grammar" `Quick test_protocol_parse_request;
+          QCheck_alcotest.to_alcotest prop_parse_request_total;
+          QCheck_alcotest.to_alcotest prop_render_parse_roundtrip;
           Alcotest.test_case "reply round trip" `Quick test_protocol_reply_roundtrip;
           Alcotest.test_case "request ids round trip" `Quick
             test_protocol_reply_id_roundtrip;
@@ -1169,6 +1436,8 @@ let () =
             test_engine_miss_rejects_stale_snapshot;
           Alcotest.test_case "fresh 0-tuple store does not drift" `Quick
             test_engine_zero_tuple_store_does_not_drift;
+          Alcotest.test_case "CSV reader serves as the whole-table adapter"
+            `Quick test_engine_csv_reader_matches_adapter;
           Alcotest.test_case "sentry-only first side answers as batch" `Quick
             test_engine_answers_sentry_only_as_batch;
         ] );

@@ -28,6 +28,27 @@ let resolve_table name =
   | Some t -> t
   | None -> raise Not_found
 
+(* The serving reads' whole-table adapter over a resolver. *)
+let adapter resolve : Table.row_reader =
+ fun name -> Table.read_rows (resolve name)
+
+(* The same four tables as CSV files, for the CSV row reader: a store
+   over them names each by its path. *)
+let csv_dir =
+  lazy
+    (let dir = Filename.temp_dir "repro-store" "" in
+     List.iter
+       (fun (name, t) -> Csv_io.write (Filename.concat dir (name ^ ".csv")) t)
+       (Lazy.force tables);
+     at_exit (fun () ->
+         Array.iter
+           (fun f -> Sys.remove (Filename.concat dir f))
+           (Sys.readdir dir);
+         Sys.rmdir dir);
+     dir)
+
+let csv name = Filename.concat (Lazy.force csv_dir) (name ^ ".csv")
+
 let build_store () =
   let store = Csdl.Store.create () in
   let register key ta tb spec =
@@ -501,11 +522,11 @@ let test_rejects_out_of_range_rows () =
       let estimator = Csdl.Opt.prepare ~theta:1.0 profile in
       let synopsis = Csdl.Estimator.draw estimator (Prng.create 5) in
       corrupt synopsis.Csdl.Synopsis.sample_a;
-      let stored =
+      let stored ~name =
         {
           Csdl.Synopsis_store.key = "q";
-          table_a = "a";
-          table_b = "b";
+          table_a = name "a";
+          table_b = name "b";
           swapped = Csdl.Estimator.swapped estimator;
           fingerprint_a = Table.fingerprint (table "a");
           fingerprint_b = Table.fingerprint (table "b");
@@ -519,7 +540,6 @@ let test_rejects_out_of_range_rows () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Csdl.Synopsis_store.write ~path [ stored ];
           let expect_row name = function
             | Error (Csdl.Fault.Store_mismatch { what = "row"; _ }) -> ()
             | Error e ->
@@ -527,23 +547,33 @@ let test_rejects_out_of_range_rows () =
                   name (Csdl.Fault.error_to_string e)
             | Ok _ -> Alcotest.failf "%s, %s: decoded" what name
           in
+          Csdl.Synopsis_store.write ~path [ stored ~name:Fun.id ];
           expect_row "read" (Csdl.Synopsis_store.read ~resolve_table ~path);
           expect_row "read_entry"
-            (Csdl.Synopsis_store.read_entry ~resolve_table ~path ~key:"q")))
+            (Csdl.Synopsis_store.read_entry ~read_rows:(adapter resolve_table)
+               ~path ~key:"q");
+          (* the CSV reader skips a row it does not have; the store, not
+             the reader, names the fault *)
+          Csdl.Synopsis_store.write ~path [ stored ~name:csv ];
+          expect_row "read_entry, CSV reader"
+            (Csdl.Synopsis_store.read_entry ~read_rows:Csv_io.read_rows ~path
+               ~key:"q");
+          expect_row "read_served, CSV reader"
+            (Csdl.Synopsis_store.read_served ~read_rows:Csv_io.read_rows ~path)))
     corruptions
 
 (* ---------------- per-entry read ---------------- *)
 
 (* Three entries: a plain one, one the estimator stores swapped (the PK
    side is user-facing A) and a self-join, persisted at [shards]. *)
-let multi_entry_image ~shards =
+let multi_entry_image ?(name = Fun.id) ~shards () =
   let store = Csdl.Store.create () in
   let register key ta tb spec =
     let profile = Csdl.Profile.of_tables (table ta) "k" (table tb) "k" in
     let estimator = Csdl.Estimator.prepare spec ~theta:0.5 profile in
     let synopsis = Csdl.Estimator.draw estimator (Prng.create 7) in
-    Csdl.Store.add ~shards store ~key ~table_a:ta ~table_b:tb estimator
-      synopsis
+    Csdl.Store.add ~shards store ~key ~table_a:(name ta) ~table_b:(name tb)
+      estimator synopsis
   in
   register "a-a" "a" "a" (Csdl.Spec.csdl Csdl.Spec.L_theta Csdl.Spec.L_diff);
   register "a-b" "a" "b" (Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_theta);
@@ -586,64 +616,113 @@ let flat_estimates (s : Csdl.Synopsis_store.stored) =
       (Predicate.Compare (Predicate.Le, "attr", Value.Int 4), Predicate.True);
     ]
 
-let decode_entry_exn ?(resolve_table = resolve_table) image key =
-  match Csdl.Synopsis_store.decode_entry ~resolve_table ~key image with
+(* The serving per-key read of an image, through one reused file. *)
+let image_path =
+  lazy
+    (let path = Filename.temp_file "repro" ".synopses" in
+     at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
+     path)
+
+let write_image image =
+  let path = Lazy.force image_path in
+  Out_channel.with_open_bin path (fun oc -> output_string oc image);
+  path
+
+let read_entry_image ?(read_rows = adapter resolve_table) ~key image =
+  Csdl.Synopsis_store.read_entry ~read_rows ~path:(write_image image) ~key
+
+let read_entry_exn ?read_rows image key =
+  match read_entry_image ?read_rows ~key image with
   | Ok s -> s
   | Error e ->
-      Alcotest.failf "decode_entry %s: %s" key (Csdl.Fault.error_to_string e)
+      Alcotest.failf "read_entry %s: %s" key (Csdl.Fault.error_to_string e)
+
+(* An entry as its samples' tuples rather than their row numbers: the
+   serving read renumbers rows into a table of the sampled rows only. *)
+let contents (s : Csdl.Synopsis_store.stored) =
+  let side (sample : Csdl.Sample.t) =
+    let row i = Array.to_list (Table.row sample.Csdl.Sample.table i) in
+    ( sample.Csdl.Sample.column,
+      sample.Csdl.Sample.tuple_count,
+      Csdl.Sample.sentry_count sample,
+      Schema.columns (Table.schema sample.Csdl.Sample.table),
+      List.map
+        (fun (v, (e : Csdl.Sample.entry)) ->
+          ( v,
+            Option.map row e.Csdl.Sample.sentry_row,
+            Array.to_list (Array.map row e.Csdl.Sample.rows),
+            e.Csdl.Sample.p_v,
+            e.Csdl.Sample.q_v ))
+        (Csdl.Shard_key.sorted_bindings sample.Csdl.Sample.entries) )
+  in
+  let syn = s.Csdl.Synopsis_store.synopsis in
+  (* the rest of the entry: its encoding with the samples emptied *)
+  let empty (sample : Csdl.Sample.t) =
+    { sample with Csdl.Sample.entries = Value.Tbl.create 1 }
+  in
+  let head =
+    {
+      s with
+      synopsis =
+        {
+          syn with
+          sample_a = empty syn.Csdl.Synopsis.sample_a;
+          sample_b = empty syn.Csdl.Synopsis.sample_b;
+        };
+    }
+  in
+  ( Csdl.Synopsis_store.encode [ head ],
+    side syn.Csdl.Synopsis.sample_a,
+    side syn.Csdl.Synopsis.sample_b )
 
 let test_read_entry_matches_read () =
   List.iter
     (fun shards ->
-      let image = multi_entry_image ~shards in
+      let image = multi_entry_image ~shards () in
       let all =
         match Csdl.Synopsis_store.decode ~resolve_table image with
         | Ok all -> all
         | Error e -> Alcotest.failf "decode: %s" (Csdl.Fault.error_to_string e)
       in
+      let csv_image = multi_entry_image ~name:csv ~shards () in
       List.iter
         (fun (key, _) ->
           let whole =
             List.find (fun (s : Csdl.Synopsis_store.stored) -> s.key = key) all
           in
-          let one = decode_entry_exn image key in
-          Alcotest.(check string)
-            (Printf.sprintf "%s at %d shards: same entry" key shards)
-            (Csdl.Synopsis_store.encode [ whole ])
-            (Csdl.Synopsis_store.encode [ one ]);
-          List.iter2
-            (fun w o ->
-              if w <> o then
-                Alcotest.failf "%s at %d shards: %h from read, %h from \
-                                read_entry" key shards w o)
-            (flat_estimates whole) (flat_estimates one))
-        entry_keys;
-      (* and through a file *)
-      let path = Filename.temp_file "repro" ".synopses" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let oc = open_out_bin path in
-          output_string oc image;
-          close_out oc;
-          match
-            Csdl.Synopsis_store.read_entry ~resolve_table ~path ~key:"pk-fk"
-          with
-          | Ok s -> Alcotest.(check string) "file read" "pk-fk" s.key
-          | Error e ->
-              Alcotest.failf "read_entry: %s" (Csdl.Fault.error_to_string e)))
+          List.iter
+            (fun (reader, (one : Csdl.Synopsis_store.stored)) ->
+              (* the CSV store names its tables by path *)
+              let one =
+                { one with table_a = whole.table_a; table_b = whole.table_b }
+              in
+              if contents whole <> contents one then
+                Alcotest.failf "%s at %d shards, %s: not the entry read reads"
+                  key shards reader;
+              List.iter2
+                (fun w o ->
+                  if w <> o then
+                    Alcotest.failf "%s at %d shards, %s: %h from read, %h \
+                                    from read_entry" key shards reader w o)
+                (flat_estimates whole) (flat_estimates one))
+            [
+              ("adapter", read_entry_exn image key);
+              ( "CSV reader",
+                read_entry_exn ~read_rows:Csv_io.read_rows csv_image key );
+            ])
+        entry_keys)
     [ 1; 4 ]
 
 let test_read_entry_resolves_only_its_tables () =
-  let image = multi_entry_image ~shards:4 in
+  let image = multi_entry_image ~shards:4 () in
   List.iter
     (fun (key, names) ->
       let calls = ref [] in
-      let counting name =
+      let counting name ~columns ~rows =
         calls := name :: !calls;
-        resolve_table name
+        adapter resolve_table name ~columns ~rows
       in
-      ignore (decode_entry_exn ~resolve_table:counting image key);
+      ignore (read_entry_exn ~read_rows:counting image key);
       Alcotest.(check (list string))
         (key ^ ": resolver saw its own tables, once each")
         names
@@ -651,30 +730,27 @@ let test_read_entry_resolves_only_its_tables () =
     entry_keys
 
 let test_read_entry_absent_key () =
-  let image = multi_entry_image ~shards:1 in
-  match Csdl.Synopsis_store.decode_entry ~resolve_table ~key:"nope" image with
+  let image = multi_entry_image ~shards:1 () in
+  match read_entry_image ~key:"nope" image with
   | Error (Csdl.Fault.Store_mismatch { what; _ }) ->
       Alcotest.(check string) "typed key fault" "key" what
   | Error e -> Alcotest.failf "unexpected: %s" (Csdl.Fault.error_to_string e)
   | Ok _ -> Alcotest.fail "absent key decoded"
 
 let test_read_entry_ignores_other_entries_tables () =
-  let image = multi_entry_image ~shards:4 in
+  let image = multi_entry_image ~shards:4 () in
   let missing_fk = function
     | "fk" -> raise Not_found
     | name -> resolve_table name
   in
-  ignore (decode_entry_exn ~resolve_table:missing_fk image "a-b");
+  ignore (read_entry_exn ~read_rows:(adapter missing_fk) image "a-b");
   (match Csdl.Synopsis_store.decode ~resolve_table:missing_fk image with
   | Error (Csdl.Fault.Store_mismatch { what = "table"; _ }) -> ()
   | Error e ->
       Alcotest.failf "read: unexpected %s" (Csdl.Fault.error_to_string e)
   | Ok _ -> Alcotest.fail "read must still fail on an unresolvable table");
   (* the entry's own tables are still checked *)
-  match
-    Csdl.Synopsis_store.decode_entry ~resolve_table:missing_fk ~key:"pk-fk"
-      image
-  with
+  match read_entry_image ~read_rows:(adapter missing_fk) ~key:"pk-fk" image with
   | Error (Csdl.Fault.Store_mismatch { what = "table"; _ }) -> ()
   | Error e ->
       Alcotest.failf "pk-fk: unexpected %s" (Csdl.Fault.error_to_string e)
@@ -709,7 +785,7 @@ let flip image pos =
   Bytes.to_string b
 
 let test_read_entry_rejects_corruption () =
-  let image = multi_entry_image ~shards:4 in
+  let image = multi_entry_image ~shards:4 () in
   let payload = String.sub image 40 (String.length image - 40) in
   let expect what region result =
     match result with
@@ -720,9 +796,7 @@ let test_read_entry_rejects_corruption () =
           (Csdl.Fault.error_to_string e)
     | Ok _ -> Alcotest.failf "%s: corrupted image decoded" region
   in
-  let decode_first image =
-    Csdl.Synopsis_store.decode_entry ~resolve_table ~key:"a-a" image
-  in
+  let decode_first image = read_entry_image ~key:"a-a" image in
   (* header fields *)
   List.iter
     (fun (pos, what) ->
@@ -754,10 +828,12 @@ let test_read_entry_rejects_corruption () =
   for pos = 0 to String.length payload - 1 do
     List.iter
       (fun image ->
+        let path = write_image image in
         List.iter
           (fun (key, _) ->
             match
-              Csdl.Synopsis_store.decode_entry ~resolve_table ~key image
+              Csdl.Synopsis_store.read_entry
+                ~read_rows:(adapter resolve_table) ~path ~key
             with
             | Ok _ | Error (Csdl.Fault.Store_mismatch _) -> ()
             | Error e ->
@@ -813,92 +889,115 @@ let segments payload =
 (* Every prefix of a valid image (raw, and re-sealed so the inner checks
    see it) and 3,000 seeded byte substitutions (raw; re-sealed; and inside
    a shard segment whose checksum is recomputed, so the entry parser reads
-   them), through [decode] and [decode_entry] for each key: each returns
-   promptly, never raises, and fails, if at all, through a named check. A
-   raw image that is not the valid one must fail; a re-sealed substitution
-   may still decode (a changed float, say). *)
+   them), through each of [decoders]: each returns promptly, never
+   raises, and fails, if at all, through a named check. A raw image that
+   is not the valid one must fail; a re-sealed substitution may still
+   decode (a changed float, say). A substitution inside a segment leaves
+   the table names whole, so it may fail only as [in_segment] allows. *)
+let sweep ~shards ~decoders ~in_segment image =
+  let payload = String.sub image 40 (String.length image - 40) in
+  let check ?(allowed = named_fault) ~must_fail label image =
+    let path = write_image image in
+    List.iter
+      (fun (name, decode) ->
+        let started = Sys.time () in
+        (match decode ~image ~path with
+        | Ok () ->
+            if must_fail then
+              Alcotest.failf "%d shards, %s: %s decoded" shards label name
+        | Error fault ->
+            if not (allowed fault) then
+              Alcotest.failf "%d shards, %s: %s: unnamed fault %s" shards label
+                name (Csdl.Fault.error_to_string fault)
+        | exception exn ->
+            Alcotest.failf "%d shards, %s: %s raised %s" shards label name
+              (Printexc.to_string exn));
+        if Sys.time () -. started > 1.0 then
+          Alcotest.failf "%d shards, %s: %s took over a second" shards label
+            name)
+      decoders
+  in
+  for len = 0 to String.length image - 1 do
+    check ~must_fail:true
+      (Printf.sprintf "prefix of %d bytes" len)
+      (String.sub image 0 len)
+  done;
+  for len = 0 to String.length payload - 1 do
+    check ~must_fail:true
+      (Printf.sprintf "re-sealed payload prefix of %d bytes" len)
+      (reseal (String.sub payload 0 len))
+  done;
+  (* a length near max_int (here the first key's) must not wrap past the
+     bounds check *)
+  let huge = Bytes.of_string payload in
+  Bytes.set_int64_le huge 8 (Int64.of_int max_int);
+  check ~must_fail:true "key length max_int" (reseal (Bytes.to_string huge));
+  let prng = Prng.create (100 + shards) in
+  let substitute s =
+    let b = Bytes.of_string s in
+    let pos = Prng.int prng (Bytes.length b) in
+    Bytes.set b pos
+      (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Prng.int prng 255)));
+    (pos, Bytes.to_string b)
+  in
+  let segments = Array.of_list (segments payload) in
+  Alcotest.(check bool) "fixture has shard segments" true
+    (Array.length segments >= 6);
+  for _ = 1 to 1000 do
+    let pos, raw = substitute image in
+    check ~must_fail:true (Printf.sprintf "byte %d substituted" pos) raw;
+    let pos, inner = substitute payload in
+    check ~must_fail:false
+      (Printf.sprintf "payload byte %d substituted, re-sealed" pos)
+      (reseal inner);
+    let at, len = segments.(Prng.int prng (Array.length segments)) in
+    let pos, body = substitute (String.sub payload (at + 16) len) in
+    let b = Bytes.of_string payload in
+    Bytes.blit_string body 0 b (at + 16) len;
+    Bytes.set_int64_le b (at + 8) (fnv64 body);
+    check ~allowed:in_segment ~must_fail:false
+      (Printf.sprintf "segment at %d, byte %d substituted, re-sealed" at pos)
+      (reseal (Bytes.to_string b))
+  done
+
+let ignore_ok r = Result.map ignore r
+
+(* The sweep through [decode] and the adapter's [read_entry] for each key,
+   then over a store of the same tables written as CSVs, through the CSV
+   reader's [read_entry] for each key and [read_served]. There a garbage
+   row index in a segment is the store's [row] fault: the reader skips a
+   row it does not have rather than raising, which would surface as a
+   [table] fault. *)
 let test_decoder_truncation_and_substitution () =
+  let per_key read_rows =
+    List.map
+      (fun (key, _) ->
+        ( "read_entry " ^ key,
+          fun ~image:_ ~path ->
+            ignore_ok (Csdl.Synopsis_store.read_entry ~read_rows ~path ~key) ))
+      entry_keys
+  in
   List.iter
     (fun shards ->
-      let image = multi_entry_image ~shards in
-      let payload = String.sub image 40 (String.length image - 40) in
-      let decoders =
-        ("decode", fun image ->
-            Result.map ignore (Csdl.Synopsis_store.decode ~resolve_table image))
-        :: List.map
-             (fun (key, _) ->
-               ( "decode_entry " ^ key,
-                 fun image ->
-                   Result.map ignore
-                     (Csdl.Synopsis_store.decode_entry ~resolve_table ~key
-                        image)
-               ))
-             entry_keys
-      in
-      let check ~must_fail label image =
-        List.iter
-          (fun (name, decode) ->
-            let started = Sys.time () in
-            (match decode image with
-            | Ok () ->
-                if must_fail then
-                  Alcotest.failf "%d shards, %s: %s decoded" shards label name
-            | Error fault ->
-                if not (named_fault fault) then
-                  Alcotest.failf "%d shards, %s: %s: unnamed fault %s" shards
-                    label name (Csdl.Fault.error_to_string fault)
-            | exception exn ->
-                Alcotest.failf "%d shards, %s: %s raised %s" shards label name
-                  (Printexc.to_string exn));
-            if Sys.time () -. started > 1.0 then
-              Alcotest.failf "%d shards, %s: %s took over a second" shards label
-                name)
-          decoders
-      in
-      for len = 0 to String.length image - 1 do
-        check ~must_fail:true
-          (Printf.sprintf "prefix of %d bytes" len)
-          (String.sub image 0 len)
-      done;
-      for len = 0 to String.length payload - 1 do
-        check ~must_fail:true
-          (Printf.sprintf "re-sealed payload prefix of %d bytes" len)
-          (reseal (String.sub payload 0 len))
-      done;
-      (* a length near max_int (here the first key's) must not wrap
-         past the bounds check *)
-      let huge = Bytes.of_string payload in
-      Bytes.set_int64_le huge 8 (Int64.of_int max_int);
-      check ~must_fail:true "key length max_int"
-        (reseal (Bytes.to_string huge));
-      let prng = Prng.create (100 + shards) in
-      let substitute s =
-        let b = Bytes.of_string s in
-        let pos = Prng.int prng (Bytes.length b) in
-        Bytes.set b pos
-          (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Prng.int prng 255)));
-        (pos, Bytes.to_string b)
-      in
-      let segments = Array.of_list (segments payload) in
-      Alcotest.(check bool) "fixture has shard segments" true
-        (Array.length segments >= 6);
-      for _ = 1 to 1000 do
-        let pos, raw = substitute image in
-        check ~must_fail:true (Printf.sprintf "byte %d substituted" pos) raw;
-        let pos, inner = substitute payload in
-        check ~must_fail:false
-          (Printf.sprintf "payload byte %d substituted, re-sealed" pos)
-          (reseal inner);
-        let at, len = segments.(Prng.int prng (Array.length segments)) in
-        let pos, body = substitute (String.sub payload (at + 16) len) in
-        let b = Bytes.of_string payload in
-        Bytes.blit_string body 0 b (at + 16) len;
-        Bytes.set_int64_le b (at + 8) (fnv64 body);
-        check ~must_fail:false
-          (Printf.sprintf "segment at %d, byte %d substituted, re-sealed" at
-             pos)
-          (reseal (Bytes.to_string b))
-      done)
+      sweep ~shards ~in_segment:named_fault
+        ~decoders:
+          (( "decode",
+             fun ~image ~path:_ ->
+               ignore_ok (Csdl.Synopsis_store.decode ~resolve_table image) )
+          :: per_key (adapter resolve_table))
+        (multi_entry_image ~shards ());
+      sweep ~shards
+        ~in_segment:(function
+          | Csdl.Fault.Store_mismatch { what = "table"; _ } -> false
+          | fault -> named_fault fault)
+        ~decoders:
+          (( "read_served, CSV reader",
+             fun ~image:_ ~path ->
+               ignore_ok
+                 (Csdl.Synopsis_store.read_served ~read_rows:Csv_io.read_rows
+                    ~path) )
+          :: per_key Csv_io.read_rows)
+        (multi_entry_image ~name:csv ~shards ()))
     [ 1; 4 ]
 
 (* ---------------- LRU synopsis cache ---------------- *)
