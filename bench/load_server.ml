@@ -467,6 +467,15 @@ let () =
   let dir = Filename.temp_file "load-server" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
+  (* the datasets, store and access logs go on every exit: a pass, a
+     failed check or an uncaught exception *)
+  at_exit (fun () ->
+      try
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      with Sys_error _ -> ());
   let store_path, _keys = build_store ~dir ~seed:3 in
   phase_a ~n:!n ~chaos:!chaos ~client_jobs:!client_jobs ~store_path ~dir;
   phase_b ~store_path ~resolve_table:(memoized_resolver ()) ~dir;

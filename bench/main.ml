@@ -186,23 +186,32 @@ let bechamel_tests config data =
     let d = Repro_datagen.Tpch.generate ~scale:0.1 ~z:2.0 ~seed:config.Config.seed in
     let tables =
       {
-        Csdl.Chain.a = d.Repro_datagen.Tpch.customer;
-        a_pk = "c_custkey";
-        b = d.Repro_datagen.Tpch.orders;
-        b_pk = "o_orderkey";
-        b_fk = "o_custkey";
-        c = d.Repro_datagen.Tpch.lineitem;
-        c_fk = "l_orderkey";
+        Csdl.Chain_n.links =
+          [
+            {
+              Csdl.Chain_n.table = d.Repro_datagen.Tpch.customer;
+              pk = "c_custkey";
+              fk = None;
+            };
+            {
+              table = d.Repro_datagen.Tpch.orders;
+              pk = "o_orderkey";
+              fk = Some "o_custkey";
+            };
+          ];
+        last = d.Repro_datagen.Tpch.lineitem;
+        last_fk = "l_orderkey";
       }
     in
-    let pred_a =
-      Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0)
+    let predicates =
+      [ Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0) ]
     in
-    let prepared = Csdl.Chain.prepare_opt ~theta:0.001 tables in
-    let synopsis = Csdl.Chain.draw prepared prng in
+    let prepared = Csdl.Chain_n.prepare_opt ~theta:0.001 tables in
+    let synopsis = Csdl.Chain_n.draw prepared prng in
     Test.make ~name:"table9/chain-estimate"
       (Staged.stage (fun () ->
-           Sys.opaque_identity (Csdl.Chain.estimate ~pred_a prepared synopsis)))
+           Sys.opaque_identity
+             (Csdl.Chain_n.estimate ~predicates prepared synopsis)))
   in
   [
     pair_estimate_test ~name:"table4/csdl-1-diff-small-jvd" ~query_name:"Q1a1"

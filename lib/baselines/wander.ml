@@ -42,66 +42,3 @@ let estimate ?(pred_a = Predicate.True) ?(pred_b = Predicate.True) t prng =
     done;
     !total /. float_of_int t.walks
   end
-
-
-type chain_t = {
-  tables : Csdl.Chain.tables;
-  chain_walks : int;
-  b_groups : int array Value.Tbl.t;
-  a_groups : int array Value.Tbl.t;
-  b_fk_index : int;
-  c_fk_index : int;
-}
-
-let prepare_chain ~walks (tables : Csdl.Chain.tables) =
-  if walks < 1 then invalid_arg "Wander.prepare_chain: walks must be >= 1";
-  {
-    tables;
-    chain_walks = walks;
-    b_groups = Table.group_by tables.Csdl.Chain.b tables.Csdl.Chain.b_pk;
-    a_groups = Table.group_by tables.Csdl.Chain.a tables.Csdl.Chain.a_pk;
-    b_fk_index = Table.column_index tables.Csdl.Chain.b tables.Csdl.Chain.b_fk;
-    c_fk_index = Table.column_index tables.Csdl.Chain.c tables.Csdl.Chain.c_fk;
-  }
-
-let estimate_chain ?(pred_a = Predicate.True) ?(pred_b = Predicate.True)
-    ?(pred_c = Predicate.True) t prng =
-  let { Csdl.Chain.a; b; c; _ } = t.tables in
-  let n_c = Table.cardinality c in
-  if n_c = 0 then 0.0
-  else begin
-    let pass_a = Predicate.compile pred_a (Table.schema a) in
-    let pass_b = Predicate.compile pred_b (Table.schema b) in
-    let pass_c = Predicate.compile pred_c (Table.schema c) in
-    let total = ref 0.0 in
-    for _ = 1 to t.chain_walks do
-      let row_c = Table.row c (Prng.int prng n_c) in
-      if pass_c row_c then
-        match row_c.(t.c_fk_index) with
-        | Value.Null -> ()
-        | v -> (
-            match Value.Tbl.find_opt t.b_groups v with
-            | None -> ()
-            | Some rows_b ->
-                (* Horvitz-Thompson: each uniform pick scales by its pool
-                   size (1 for true key columns) *)
-                let b_count = Array.length rows_b in
-                let row_b = Table.row b rows_b.(Prng.int prng b_count) in
-                if pass_b row_b then
-                  match row_b.(t.b_fk_index) with
-                  | Value.Null -> ()
-                  | u -> (
-                      match Value.Tbl.find_opt t.a_groups u with
-                      | None -> ()
-                      | Some rows_a ->
-                          let a_count = Array.length rows_a in
-                          let row_a =
-                            Table.row a rows_a.(Prng.int prng a_count)
-                          in
-                          if pass_a row_a then
-                            total :=
-                              !total
-                              +. float_of_int (b_count * a_count)))
-    done;
-    !total *. float_of_int n_c /. float_of_int t.chain_walks
-  end

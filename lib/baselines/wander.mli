@@ -25,22 +25,3 @@ val estimate :
 
 val walks : t -> int
 val name : string
-
-(** {2 Chain queries}
-
-    Multi-way joins are wander join's home turf: a walk starts at a
-    uniform tuple of the FK table and follows the PK pointers leftward,
-    each step deterministic (keys are unique), giving the unbiased
-    per-walk estimator [|C| * prod of predicate indicators]. *)
-
-type chain_t
-
-val prepare_chain : walks:int -> Csdl.Chain.tables -> chain_t
-
-val estimate_chain :
-  ?pred_a:Predicate.t ->
-  ?pred_b:Predicate.t ->
-  ?pred_c:Predicate.t ->
-  chain_t ->
-  Repro_util.Prng.t ->
-  float

@@ -25,8 +25,8 @@ let theta = 0.001
 
 let run (config : Config.t) =
   let jobs = config.Config.jobs in
-  let pred_a =
-    Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0)
+  let predicates =
+    [ Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0) ]
   in
   (* Stage 1 — per dataset: generation and the exact chain size, shared by
      both approach cells. *)
@@ -36,16 +36,26 @@ let run (config : Config.t) =
         let data = Tpch.generate ~scale ~z ~seed:config.Config.seed in
         let tables =
           {
-            Csdl.Chain.a = data.Tpch.customer;
-            a_pk = "c_custkey";
-            b = data.Tpch.orders;
-            b_pk = "o_orderkey";
-            b_fk = "o_custkey";
-            c = data.Tpch.lineitem;
-            c_fk = "l_orderkey";
+            Csdl.Chain_n.links =
+              [
+                {
+                  Csdl.Chain_n.table = data.Tpch.customer;
+                  pk = "c_custkey";
+                  fk = None;
+                };
+                {
+                  Csdl.Chain_n.table = data.Tpch.orders;
+                  pk = "o_orderkey";
+                  fk = Some "o_custkey";
+                };
+              ];
+            last = data.Tpch.lineitem;
+            last_fk = "l_orderkey";
           }
         in
-        let truth = float_of_int (Csdl.Chain.true_size ~pred_a tables) in
+        let truth =
+          float_of_int (Csdl.Chain_n.true_size ~predicates tables)
+        in
         (scale, z, Tpch.dataset_name data, tables, truth))
       Table8.datasets
   in
@@ -60,8 +70,8 @@ let run (config : Config.t) =
       (fun ((scale, z, _, tables, truth), tag) ->
         let prepared =
           match tag with
-          | "opt" -> Csdl.Chain.prepare_opt ~theta tables
-          | _ -> Csdl.Chain.prepare Csdl.Spec.cs2l ~theta tables
+          | "opt" -> Csdl.Chain_n.prepare_opt ~theta tables
+          | _ -> Csdl.Chain_n.prepare Csdl.Spec.cs2l ~theta tables
         in
         let prng =
           Prng.create_keyed ~seed:config.Config.seed
@@ -74,12 +84,12 @@ let run (config : Config.t) =
         and zero_runs = ref 0 in
         let estimates =
           Array.init runs (fun _ ->
-              let synopsis = Csdl.Chain.draw prepared prng in
+              let synopsis = Csdl.Chain_n.draw prepared prng in
               sample_tuples :=
-                !sample_tuples + Csdl.Chain.synopsis_tuples synopsis;
+                !sample_tuples + Csdl.Chain_n.synopsis_tuples synopsis;
               let estimate, span =
                 Clock.time (fun () ->
-                    Csdl.Chain.estimate ~pred_a prepared synopsis)
+                    Csdl.Chain_n.estimate ~predicates prepared synopsis)
               in
               wall_total := !wall_total +. span.Clock.wall_seconds;
               cpu_total := !cpu_total +. span.Clock.cpu_seconds;

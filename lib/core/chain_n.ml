@@ -313,4 +313,11 @@ let true_size ?(predicates = []) tables =
           | None -> acc))
     0 filtered_last
 
+let synopsis_tuples synopsis =
+  Value.Tbl.fold
+    (fun _ complete acc ->
+      List.fold_left (fun acc path -> acc + Array.length path) acc complete)
+    synopsis.paths
+    (Sample.total_tuples synopsis.sample)
+
 let spec t = t.spec

@@ -1,16 +1,18 @@
-(** Chain joins of arbitrary length (Section V: "extending to chain join
-    queries with more than three tables is straightforward"):
+(** Chain join estimation (Section V), for chains of any length k >= 2:
 
     [T_1 (pk = fk) |><| T_2 (pk = fk) |><| ... |><| T_k]
 
-    where every join is PK-FK with the FK table on the right. As in
-    {!Chain} (the fixed 3-table version kept for the paper's Table IX),
-    the rightmost table [T_k] is sampled two-level with sentries and every
+    where every join is PK-FK with the FK table on the right. The paper's
+    3-table chain [A |><| B |><| C] of Eq. 8 and Table IX is k = 3 (the
+    section calls the extension to more tables "straightforward"). The
+    rightmost table [T_k] is sampled two-level with sentries, and every
     other table contributes at most one witness tuple per sampled path.
-    Estimation generalises Eq. 8: for each sampled join value [v] of
-    [T_k], the [(x_v N'' + I''_k(v))] factor is multiplied by the number
-    of complete witness paths [T_{k-1} -> ... -> T_1] passing their
-    predicates, and scaled by [1/p_v]. *)
+    For each sampled join value [v] of [T_k], the [(x_v N'' + I''_k(v))]
+    factor — [x_v] from discrete learning over the filtered sample of
+    [T_k], or [S''_k(v)/q_v] in place of [x_v N''] for scaling-method
+    specs (the CS2L baseline) — is multiplied by the number of complete
+    witness paths [T_{k-1} -> ... -> T_1] passing their predicates, and
+    scaled by [1/p_v]. *)
 
 open Repro_relation
 
@@ -40,7 +42,11 @@ val jvd : tables -> float
 (** Join value density of the rightmost join, the dispatch input. *)
 
 val prepare : Spec.t -> theta:float -> tables -> t
+(** Resolve sampling rates for [T_k] under budget [theta] times the rows
+    of every table in the chain. *)
+
 val prepare_opt : ?threshold:float -> theta:float -> tables -> t
+(** CSDL-Opt for chains: dispatch the variant on {!jvd}. *)
 
 val draw : t -> Repro_util.Prng.t -> synopsis
 
@@ -54,4 +60,10 @@ val estimate :
     [True]. *)
 
 val true_size : ?predicates:Predicate.t list -> tables -> int
+(** Exact chain join size (ground truth). *)
+
+val synopsis_tuples : synopsis -> int
+(** Stored tuples: the sampled tuples of [T_k], sentries included, plus
+    one per row on each complete witness path. *)
+
 val spec : t -> Spec.t

@@ -34,15 +34,13 @@ let predicates s =
   | _ -> None
 
 (* Whether [p] answers alike for every row of a group of [column]. Group
-   v's rows hold values equal to v under [Value.Tbl]'s equality, which
-   also equates [Int x] with [Float (float_of_int x)]; the two compare
-   alike against every constant except an int beyond 2^53, where the
-   float has been rounded. Seeded sentinels ([column <= median]) qualify. *)
+   v's rows hold values equal to v under [Value.Tbl]'s equality: one
+   constructor, and floats equal under [Float.equal], which compare alike
+   against every constant. Seeded sentinels ([column <= median])
+   qualify. *)
 let rec per_group column (p : Predicate.t) =
   match p with
   | True | False -> true
-  | Compare (_, c, Value.Int z) ->
-      String.equal c column && z > -(1 lsl 53) && z < 1 lsl 53
   | Compare (_, c, _) | Like_prefix (c, _) | Like_contains (c, _) ->
       String.equal c column
   | And (a, b) | Or (a, b) -> per_group column a && per_group column b

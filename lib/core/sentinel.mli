@@ -67,9 +67,8 @@ val filtered_truth :
 (** Exact filtered join size over the profiled base tables — the truth a
     sentinel records. A predicate that reads only its side's join column
     (every seeded sentinel's does) is evaluated once per join-value group,
-    on the group's first row: the rows of group [v] all hold [v], so they
-    answer alike. The one exception is [Value.Tbl]'s equality of [Int x]
-    with [Float (float_of_int x)], under which an int constant beyond
-    [±2^53] can tell a group's rows apart; a comparison with such a
-    constant, like a predicate reading any other column, is evaluated row
-    by row. Either way the count is the row-by-row count. *)
+    on the group's first row: the rows of group [v] all hold a value
+    equal to [v] under {!Repro_relation.Value.Key} (one constructor, and
+    floats equal under [Float.equal]), so they answer alike. A predicate
+    reading any other column is evaluated row by row. Either way the
+    count is the row-by-row count. *)

@@ -30,7 +30,6 @@ type t = {
   a : side;
   b : side;
   b_to_a : int array;
-  sorted_a : int array;
   verdict : Fault.error option;
   unfiltered_dl : (learned, Fault.error) result option Atomic.t;
 }
@@ -40,9 +39,7 @@ type t = {
    scan order, and the canonical order is the same no matter which
    hashtable the entries came out of or how the table was partitioned —
    a K-shard merge therefore yields the same layout (and the same printed
-   %.17g digits) as the monolithic draw. Shards own contiguous hash
-   ranges, so the global layout is the concatenation of the per-shard
-   layouts. *)
+   %.17g digits) as the monolithic draw. *)
 let side_of_sample (sample : Sample.t) =
   let n = Value.Tbl.length sample.Sample.entries in
   let bindings = Shard_key.sorted_bindings sample.Sample.entries in
@@ -189,7 +186,9 @@ let validate (syn : Synopsis.t) ~a ~b ~b_to_a =
 
 (* ---------------- construction ---------------- *)
 
-let assemble (syn : Synopsis.t) ~a ~b =
+let of_synopsis (syn : Synopsis.t) =
+  let a = side_of_sample syn.Synopsis.sample_a in
+  let b = side_of_sample syn.Synopsis.sample_b in
   (* Positions of the A values under the {e hashtable's} equality, so a
      dangling B value here is dangling in exactly the cases the
      hashtable-walking estimator considered it dangling. *)
@@ -201,12 +200,6 @@ let assemble (syn : Synopsis.t) ~a ~b =
         match Value.Tbl.find_opt a_index v with Some i -> i | None -> -1)
       b.values
   in
-  let sorted_a = Array.init (Array.length a.values) Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Value.compare a.values.(i) a.values.(j) in
-      if c <> 0 then c else Int.compare i j)
-    sorted_a;
   let verdict = validate syn ~a ~b ~b_to_a in
   {
     resolved = syn.Synopsis.resolved;
@@ -216,157 +209,6 @@ let assemble (syn : Synopsis.t) ~a ~b =
     a;
     b;
     b_to_a;
-    sorted_a;
     verdict;
     unfiltered_dl = Atomic.make None;
   }
-
-let of_synopsis (syn : Synopsis.t) =
-  assemble syn
-    ~a:(side_of_sample syn.Synopsis.sample_a)
-    ~b:(side_of_sample syn.Synopsis.sample_b)
-
-(* ---------------- shard concatenation ---------------- *)
-
-(* Because values are laid out in canonical hash order and shards own
-   contiguous hash ranges, the global side is the concatenation of the
-   per-shard sides: values / rates / offsets segment-wise, the row region
-   shard-major, then the sentry region shard-major — exactly the layout
-   [side_of_sample] produces for the union sample. Only the position
-   bookkeeping is recomputed; the materialized column segments are reused
-   (possibly re-boxed when shards disagree on a column's uniform kind). *)
-let concat_sides (sides : side array) =
-  if Array.length sides = 0 then
-    invalid_arg "Synopsis_flat.concat_sides: no sides";
-  if Array.length sides = 1 then sides.(0)
-  else begin
-    let n_rows s = Bigarray.Array1.dim s.rows in
-    let n_sentries s =
-      Array.fold_left (fun acc p -> if p >= 0 then acc + 1 else acc) 0
-        s.sentry_pos
-    in
-    let n = Array.fold_left (fun acc s -> acc + Array.length s.values) 0 sides in
-    let total_rows = Array.fold_left (fun acc s -> acc + n_rows s) 0 sides in
-    let total_sentries =
-      Array.fold_left (fun acc s -> acc + n_sentries s) 0 sides
-    in
-    let values = Array.make n Value.Null in
-    let row_off = Array.make (n + 1) 0 in
-    let sentry = Array.make n (-1) in
-    let sentry_pos = Array.make n (-1) in
-    let p_v = Array.make n 0.0 in
-    let q_v = Array.make n 0.0 in
-    let rows =
-      Bigarray.Array1.create Bigarray.int Bigarray.c_layout total_rows
-    in
-    let voff = ref 0 and roff = ref 0 and soff = ref 0 in
-    Array.iter
-      (fun s ->
-        let ns = Array.length s.values in
-        Array.blit s.values 0 values !voff ns;
-        Array.blit s.sentry 0 sentry !voff ns;
-        Array.blit s.p_v 0 p_v !voff ns;
-        Array.blit s.q_v 0 q_v !voff ns;
-        for i = 0 to ns - 1 do
-          row_off.(!voff + i) <- !roff + s.row_off.(i);
-          if s.sentry_pos.(i) >= 0 then begin
-            sentry_pos.(!voff + i) <- total_rows + !soff;
-            incr soff
-          end
-        done;
-        let nr = n_rows s in
-        if nr > 0 then
-          Bigarray.Array1.blit s.rows (Bigarray.Array1.sub rows !roff nr);
-        voff := !voff + ns;
-        roff := !roff + nr)
-      sides;
-    row_off.(n) <- total_rows;
-    (* Columns: a shard's segment is positionally [rows; sentries], the
-       global column interleaves them by region, so copy the two parts of
-       every segment to their regional offsets. The global kind is uniform
-       only when every non-empty segment agrees (matching what
-       [side_of_sample] would have unboxed on the union). *)
-    let n_positions = total_rows + total_sentries in
-    let arity = Array.length sides.(0).cols in
-    let concat_col c =
-      let segment s = s.cols.(c) in
-      let seg_positions s = n_rows s + n_sentries s in
-      let live = Array.to_list sides |> List.filter (fun s -> seg_positions s > 0) in
-      let kind_all p = List.for_all (fun s -> p (segment s)) live in
-      let copy set =
-        let roff = ref 0 and soff = ref total_rows in
-        Array.iter
-          (fun s ->
-            let nr = n_rows s and np = seg_positions s in
-            for j = 0 to nr - 1 do
-              set (!roff + j) s j
-            done;
-            for j = nr to np - 1 do
-              set (!soff + (j - nr)) s j
-            done;
-            roff := !roff + nr;
-            soff := !soff + (np - nr))
-          sides
-      in
-      if n_positions = 0 then Boxed [||]
-      else if kind_all (function Ints _ -> true | _ -> false) then begin
-        let a =
-          Bigarray.Array1.create Bigarray.int Bigarray.c_layout n_positions
-        in
-        (* [copy] only applies [set] to positions of non-empty segments,
-           and a non-empty segment of another kind would have failed
-           [kind_all] — the fall-through writes nothing *)
-        copy (fun pos s j ->
-            match segment s with
-            | Ints seg -> a.{pos} <- seg.{j}
-            | Floats _ | Boxed _ -> ());
-        Ints a
-      end
-      else if kind_all (function Floats _ -> true | _ -> false) then begin
-        let a =
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n_positions
-        in
-        copy (fun pos s j ->
-            match segment s with
-            | Floats seg -> a.{pos} <- seg.{j}
-            | Ints _ | Boxed _ -> ());
-        Floats a
-      end
-      else begin
-        let a = Array.make n_positions Value.Null in
-        copy (fun pos s j ->
-            a.(pos) <-
-              (match segment s with
-              | Boxed seg -> seg.(j)
-              | Ints seg -> Value.Int seg.{j}
-              | Floats seg -> Value.Float seg.{j}));
-        Boxed a
-      end
-    in
-    {
-      schema = sides.(0).schema;
-      column = sides.(0).column;
-      values;
-      row_off;
-      rows;
-      sentry;
-      sentry_pos;
-      cols = Array.init arity concat_col;
-      p_v;
-      q_v;
-    }
-  end
-
-let find_a t v =
-  let a = t.a and sorted = t.sorted_a in
-  let lo = ref 0 and hi = ref (Array.length sorted) in
-  let found = ref None in
-  while !found = None && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let i = sorted.(mid) in
-    let c = Value.compare v a.values.(i) in
-    if c = 0 then found := Some i
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  !found

@@ -12,7 +12,6 @@
       domains share it read-only);
     - a precomputed B→A position map, so the estimate joins the two sides
       by index instead of a [Value.Tbl.find_opt] per value per query;
-    - a sorted value index over the first side for point lookups;
     - the memoized validation verdict of the synopsis, so checked
       estimation validates once per load instead of once per query;
     - one write-once slot ({!t.unfiltered_dl}) for the discrete learner's
@@ -32,9 +31,7 @@
     accumulate floats in scan order, and the byte-compare harnesses pin
     `%.17g` outputs, so the layout must be identical no matter how the
     sample was produced: monolithic draw, K-shard merge, or delta
-    maintenance. Shards own contiguous hash ranges, so the global layout
-    is the concatenation of the per-shard layouts ({!concat_sides}). The
-    sorted index is a separate lookup structure on top. *)
+    maintenance. *)
 
 open Repro_relation
 
@@ -56,7 +53,8 @@ type side = {
       (** the base table's schema: predicates name columns through it *)
   column : string;
   values : Value.t array;
-      (** join values, positionally, in sample-hashtable iteration order *)
+      (** join values, positionally, in the canonical shard-hash order
+          ({!Shard_key.compare}) *)
   row_off : int array;
       (** length [n+1]; value [i]'s sampled rows live at positions
           [row_off.(i) .. row_off.(i+1) - 1] (of [rows] and of every
@@ -101,8 +99,6 @@ type t = {
   b_to_a : int array;
       (** position of B value [i] in [a]'s arrays; [-1] when the value is
           dangling (corrupt: S_B ⊆ B ⋉ S_A is violated) *)
-  sorted_a : int array;
-      (** positions into [a]'s arrays, sorted by {!Value.compare} *)
   verdict : Fault.error option;
       (** memoized {e structural} validation: finite [N'], non-negative
           tuple counts, no dangling B values, finite positive [p_v],
@@ -124,29 +120,6 @@ type t = {
 val of_synopsis : Synopsis.t -> t
 (** Freeze a synopsis. O(size of the synopsis); meant to run once per
     draw/decode/load, never per query. *)
-
-val side_of_sample : Sample.t -> side
-(** Flatten one sample into its canonical positional layout. Exposed so a
-    sharded synopsis ({!Synopsis_shard}) can freeze each shard's slice
-    independently and cache the clean ones across deltas. *)
-
-val concat_sides : side array -> side
-(** Concatenate per-shard sides (in shard order) into the side the union
-    sample would flatten to — bit-identical to [side_of_sample] of the
-    merged sample, because shards own contiguous canonical-order ranges.
-    All inputs must come from the same table/column; empty shards are
-    fine, an empty array is not. Column segments are reused when every
-    non-empty shard agrees on the unboxed kind, re-boxed otherwise. *)
-
-val assemble : Synopsis.t -> a:side -> b:side -> t
-(** Finish a flat view from prebuilt sides: compute the B→A map, the
-    sorted index and the validation verdict. [of_synopsis] is
-    [assemble syn ~a:(side_of_sample sample_a) ~b:(side_of_sample
-    sample_b)]. *)
-
-val find_a : t -> Value.t -> int option
-(** Position of a value on the first side, by binary search over
-    [sorted_a]. *)
 
 val validation_runs : unit -> int
 (** Process-wide count of structural validations performed by

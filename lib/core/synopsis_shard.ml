@@ -5,20 +5,15 @@ module Pool = Repro_util.Pool
 (* A synopsis held as K deterministic partitions of the join-value space.
 
    Shards are contiguous ranges of the canonical 64-bit value-hash space
-   (Shard_key): the canonical global value order is then the concatenation
-   of the per-shard orders for EVERY shard count simultaneously, and every
-   per-value draw runs on its own keyed PRNG sub-stream (Sample.stream_a/b
-   derived from the build's 64-bit base). Together these make the merged
-   synopsis — and its flat columnar view — bit-identical to the
+   (Shard_key), and every per-value draw runs on its own keyed PRNG
+   sub-stream (Sample.stream_a/b derived from the build's 64-bit base).
+   Together these make the merged synopsis bit-identical to the
    monolithic single-shard draw, regardless of K, of which domain drew
    which shard, and of how many deltas have been applied since. *)
 
 type shard = {
   entries_a : Sample.entry Value.Tbl.t;
   entries_b : Sample.entry Value.Tbl.t;
-  mutable flat : (Synopsis_flat.side * Synopsis_flat.side) option;
-      (* cached flat slice; [None] when the shard's sample changed since
-         it was last frozen *)
 }
 
 type t = {
@@ -54,11 +49,7 @@ let shard_tuple_counts t =
 
 let empty_shards k =
   Array.init k (fun _ ->
-      {
-        entries_a = Value.Tbl.create 64;
-        entries_b = Value.Tbl.create 64;
-        flat = None;
-      })
+      { entries_a = Value.Tbl.create 64; entries_b = Value.Tbl.create 64 })
 
 let build ?obs ?jobs ~base ~profile ~resolved ~shards () =
   if shards < 1 then invalid_arg "Synopsis_shard.build: shards must be >= 1";
@@ -83,7 +74,6 @@ let build ?obs ?jobs ~base ~profile ~resolved ~shards () =
           {
             entries_a = syn.Synopsis.sample_a.Sample.entries;
             entries_b = syn.Synopsis.sample_b.Sample.entries;
-            flat = None;
           })
         subs;
   }
@@ -143,27 +133,6 @@ let merge t =
     n_prime = Synopsis.n_prime_of ~profile:t.profile sample_a;
   }
 
-(* ---------------- flat view ---------------- *)
-
-let shard_sides t sh =
-  match sh.flat with
-  | Some sides -> sides
-  | None ->
-      let sides =
-        ( Synopsis_flat.side_of_sample
-            (sample_of_entries t.profile.Profile.a sh.entries_a),
-          Synopsis_flat.side_of_sample
-            (sample_of_entries t.profile.Profile.b sh.entries_b) )
-      in
-      sh.flat <- Some sides;
-      sides
-
-let flat t =
-  let sides = Array.map (shard_sides t) t.shards in
-  Synopsis_flat.assemble (merge t)
-    ~a:(Synopsis_flat.concat_sides (Array.map fst sides))
-    ~b:(Synopsis_flat.concat_sides (Array.map snd sides))
-
 (* ---------------- incremental maintenance ---------------- *)
 
 let compact ~side_name (table : Table.t) (d : side_delta) =
@@ -219,27 +188,6 @@ let remap_entry remap (e : Sample.entry) =
     Sample.rows = Array.map move e.Sample.rows;
     sentry_row = Option.map move e.Sample.sentry_row;
   }
-
-(* A clean shard's cached flat slice survives a delta untouched except for
-   its raw row indices, which shift under compaction. Positions, rates,
-   offsets, the schema and the materialized tuple columns are unchanged —
-   no value in a clean shard was re-drawn, survivors keep their relative
-   order, and a delta never changes a table's schema. *)
-let remap_flat_side remap (s : Synopsis_flat.side) =
-  let rows = s.Synopsis_flat.rows in
-  for j = 0 to Bigarray.Array1.dim rows - 1 do
-    let i = remap.(Bigarray.Array1.unsafe_get rows j) in
-    assert (i >= 0);
-    Bigarray.Array1.unsafe_set rows j i
-  done;
-  let sentry = s.Synopsis_flat.sentry in
-  Array.iteri
-    (fun j i ->
-      if i >= 0 then begin
-        assert (remap.(i) >= 0);
-        sentry.(j) <- remap.(i)
-      end)
-    sentry
 
 let apply_delta t (d : delta) =
   let old_profile = t.profile and old_resolved = t.resolved in
@@ -360,8 +308,7 @@ let apply_delta t (d : delta) =
   Value.Tbl.iter (fun v () -> decide v) touched_b;
   (* Pass 4 — compaction bookkeeping: surviving entries that were not
      re-drawn still index the old tables; remap them (identity when the
-     batch had no deletes on that side). Clean shards keep their cached
-     flat slice, remapped in place; dirty shards drop theirs. *)
+     batch had no deletes on that side). *)
   let remap_side proj redrawn remap has_deletes =
     if has_deletes then
       Array.iter
@@ -379,16 +326,6 @@ let apply_delta t (d : delta) =
     (Array.length d.a.deletes > 0);
   remap_side (fun sh -> sh.entries_b) redrawn_b remap_b
     (Array.length d.b.deletes > 0);
-  Array.iteri
-    (fun k sh ->
-      if dirty.(k) then sh.flat <- None
-      else
-        match sh.flat with
-        | None -> ()
-        | Some (sa, sb) ->
-            if Array.length d.a.deletes > 0 then remap_flat_side remap_a sa;
-            if Array.length d.b.deletes > 0 then remap_flat_side remap_b sb)
-    t.shards;
   t.profile <- profile;
   t.resolved <- resolved;
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 dirty

@@ -7,10 +7,8 @@
     Consequences, which the shard-determinism CI gate pins byte-for-byte:
 
     - {!merge} of the K shard samples is bit-identical to the monolithic
-      [Synopsis.draw] with the same base, for every shard count;
-    - the global flat view is the {e concatenation} of the per-shard flat
-      slices, so a delta that touches one shard re-freezes only that
-      shard's slice;
+      [Synopsis.draw] with the same base, for every shard count, so
+      [Synopsis_flat.of_synopsis (merge t)] is the monolithic flat view;
     - {!apply_delta} re-runs the per-value hash test against the same
       keyed streams for exactly the values whose draw inputs changed,
       yielding estimates bit-identical to a from-scratch re-draw of the
@@ -58,24 +56,17 @@ val merge : t -> Synopsis.t
     counts re-tallied, [N'] recomputed as the exact integer-valued sum of
     shard partials. *)
 
-val flat : t -> Synopsis_flat.t
-(** The global flat view, assembled by concatenating per-shard flat
-    slices ({!Synopsis_flat.concat_sides}). Slices of shards untouched
-    since the last call are reused from cache; only dirty shards are
-    re-frozen. Bit-identical to [Synopsis_flat.of_synopsis (merge t)]. *)
-
 val apply_delta : t -> delta -> int
 (** Apply an insert/delete batch in place and return the number of shards
-    whose sample changed (whose flat slices were invalidated). Tables are
-    compacted (deletes removed, inserts appended — row indices of
-    survivors shift accordingly), the profile is rebuilt and the budget
-    re-resolved on the post-delta data, and exactly the values whose draw
-    inputs changed — touched groups, re-priced rates, changed [S_A]
-    membership on the semijoin side — are re-drawn on their keyed
-    streams. Estimates from {!merge}/{!flat} afterwards are bit-identical
-    to a from-scratch re-draw of the post-delta table. Note the degenerate
-    honest case: data-dependent rate variants may re-price {e every} value
-    under a delta, in which case all shards re-draw (still
+    whose sample changed. Tables are compacted (deletes removed, inserts
+    appended — row indices of survivors shift accordingly), the profile is
+    rebuilt and the budget re-resolved on the post-delta data, and exactly
+    the values whose draw inputs changed — touched groups, re-priced
+    rates, changed [S_A] membership on the semijoin side — are re-drawn on
+    their keyed streams. Estimates from {!merge} afterwards are
+    bit-identical to a from-scratch re-draw of the post-delta table. Note
+    the degenerate honest case: data-dependent rate variants may re-price
+    {e every} value under a delta, in which case all shards re-draw (still
     bit-identically). Raises [Invalid_argument] on out-of-range or
     duplicate delete indices and on inserts that do not match the schema.
     Access the post-delta tables through {!profile}. *)

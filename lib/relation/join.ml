@@ -23,67 +23,6 @@ let pair_count a b =
       | None -> acc)
     small 0
 
-let pair_rows a b =
-  let ta = filtered_table a and tb = filtered_table b in
-  let groups = Table.group_by tb b.column in
-  let ia = Table.column_index ta a.column in
-  let out = ref [] in
-  Table.iter
-    (fun row_a ->
-      match row_a.(ia) with
-      | Value.Null -> ()
-      | v -> (
-          match Value.Tbl.find_opt groups v with
-          | None -> ()
-          | Some indices ->
-              Array.iter
-                (fun j -> out := (row_a, Table.row tb j) :: !out)
-                indices))
-    ta;
-  List.rev !out
-
-let semijoin table column ~member =
-  let i = Table.column_index table column in
-  Table.filter
-    (fun row ->
-      match row.(i) with Value.Null -> false | v -> member v)
-    table
-
-let chain3_count ~a ~b ~b_fk ~c =
-  (* Right-to-left: count C rows per FK value, propagate through B, then
-     through A. PK columns may in fact have duplicates (we do not enforce
-     key constraints here), so we propagate full counts. *)
-  let tc = filtered_table c in
-  let c_counts = Table.frequency_map tc c.column in
-  let tb = filtered_table b in
-  let ib_pk = Table.column_index tb b.column in
-  let ib_fk = Table.column_index tb b_fk in
-  (* per A-key value: number of (B, C+) partial join rows *)
-  let partial = Value.Tbl.create 1024 in
-  Table.iter
-    (fun row_b ->
-      match (row_b.(ib_fk), row_b.(ib_pk)) with
-      | Value.Null, _ | _, Value.Null -> ()
-      | fk, pk -> (
-          match Value.Tbl.find_opt c_counts pk with
-          | None -> ()
-          | Some c_count -> (
-              match Value.Tbl.find_opt partial fk with
-              | Some acc -> Value.Tbl.replace partial fk (acc + c_count)
-              | None -> Value.Tbl.add partial fk c_count)))
-    tb;
-  let ta = filtered_table a in
-  let ia = Table.column_index ta a.column in
-  Table.fold
-    (fun acc row_a ->
-      match row_a.(ia) with
-      | Value.Null -> acc
-      | v -> (
-          match Value.Tbl.find_opt partial v with
-          | Some count -> acc + count
-          | None -> acc))
-    0 ta
-
 let star_count ~fact ~fact_predicate ~dimensions =
   let tf =
     match fact_predicate with

@@ -1,5 +1,5 @@
 (** Exact join computation — the ground truth the estimators are judged
-    against, plus the semijoin primitive correlated sampling is built on. *)
+    against. *)
 
 type side = { table : Table.t; column : string; predicate : Predicate.t }
 (** One side of an equijoin: which table, its join column, and the query's
@@ -13,21 +13,6 @@ val filtered : Table.t -> string -> Predicate.t -> side
 val pair_count : side -> side -> int
 (** Exact size of [sigma_cA(A) |><| sigma_cB(B)] by frequency-map product:
     sum over shared values v of a_v * b_v. Nulls never join. *)
-
-val pair_rows : side -> side -> (Value.t array * Value.t array) list
-(** Materialised join result (for the examples; beware of output size). *)
-
-val semijoin : Table.t -> string -> member:(Value.t -> bool) -> Table.t
-(** [semijoin b col ~member] keeps the rows of [b] whose non-null join value
-    satisfies [member] — computes [B |>< S_A] when [member] tests presence
-    in the sampled value set. *)
-
-val chain3_count :
-  a:side -> b:side -> b_fk:string -> c:side -> int
-(** Exact size of the paper's 3-table chain join
-    [A (A.pk = B.fk) |><| B (B.pk = C.fk) |><| C] with per-table selections.
-    [a.column] is A's PK joined against [b_fk] in B; [b.column] is B's PK
-    joined against [c.column] (the FK) in C. *)
 
 val star_count : fact:Table.t -> fact_predicate:Predicate.t ->
   dimensions:(string * side) list -> int

@@ -62,9 +62,7 @@ let frequency_map t name =
    ordinal (groups numbered in first-occurrence order); the ordinals count
    each group's size, then fill exact-size arrays in row order. The two
    tables' sizes and insertion orders must stay as they are: they decide
-   which values share a group ([Value.Tbl] equates [Int x] with
-   [Float (float_of_int x)] only when the two share a bucket) and the
-   result's iteration order, which callers see. *)
+   the result's iteration order, which callers see. *)
 let group_by t name =
   let i = column_index t name in
   let n = Array.length t.rows in

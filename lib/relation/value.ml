@@ -74,14 +74,23 @@ let as_float = function
 
 let as_string = function Str s -> Some s | Null | Int _ | Float _ -> None
 
+(* Container equality keeps the constructors apart: an [Int] key never
+   equals a [Float] key, so equal keys always hash alike. Equating
+   [Int x] with [Float (float_of_int x)] here would need an integral float
+   to hash as its int, and past 2^53 [Int (2^53 + 1)] would then equal
+   the float 2^53 without equalling [Int (2^53)]. *)
 module Key = struct
   type nonrec t = t
 
-  let equal a b = match (a, b) with Null, Null -> true | _ -> equal a b
+  let equal a b =
+    match (a, b) with
+    | Null, Null -> true
+    | Int x, Int y -> Int.equal x y
+    | Float x, Float y -> Float.equal x y
+    | Str x, Str y -> String.equal x y
+    | (Null | Int _ | Float _ | Str _), _ -> false
+
   let hash = hash
-  let compare = compare
 end
 
 module Tbl = Hashtbl.Make (Key)
-module Map = Map.Make (Key)
-module Set = Set.Make (Key)

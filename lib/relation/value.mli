@@ -8,15 +8,25 @@ type t =
   | Str of string
 
 val equal : t -> t -> bool
-(** Structural equality, except [Null] is not equal to anything including
-    itself — matching SQL equijoin semantics. *)
+(** SQL equality: [Null] equals nothing, itself included. [Int] and
+    [Float] compare numerically ([Int x] equals [Float y] when
+    [float_of_int x = y]); floats compare with [Float.equal], so
+    [nan] equals [nan] and [0.] equals [-0.]. Strings compare by content,
+    and no string equals a number. *)
 
 val compare : t -> t -> int
-(** Total order for sorting and map keys: Null < Int < Float < Str, with the
-    natural order within each constructor. (Unlike {!equal}, [Null] compares
-    equal to itself so that containers behave.) *)
+(** Order for sorting and predicates: [Null] before every number, every
+    number before every [Str]. [Int] and [Float] compare numerically
+    ([Int x] against [Float y] as [Float.compare (float_of_int x) y], so
+    [nan] sorts below every number), strings by [String.compare], and
+    [Null] compares equal to itself. Past 2^53 [float_of_int] rounds, so
+    the order is not transitive there: [Int (2^53)] and [Int (2^53 + 1)]
+    both compare equal to [Float 2^53], but not to each other. *)
 
 val hash : t -> int
+(** Hash of the payload ([Hashtbl.hash] of the int, float or string; 0
+    for [Null]). An [Int] and a [Float] of equal value need not hash
+    alike. *)
 
 val encode : t -> string
 (** Stable injective byte rendering (tag byte + payload bits, ints and
@@ -36,10 +46,13 @@ val as_float : t -> float option
 
 val as_string : t -> string option
 
-module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by values. For container purposes [Null] equals
-    itself here (unlike {!equal}); callers that implement join semantics
-    must skip [Null] keys themselves. *)
+module Key : Hashtbl.HashedType with type t = t
+(** The key equality and hash behind {!Tbl}. Unlike {!equal}, [Null]
+    equals itself, and an [Int] never equals a [Float]: [Int 3] and
+    [Float 3.] are two keys. Floats compare with [Float.equal], so every
+    [nan] is one key and [0.] and [-0.] are one key. Equal keys hash
+    alike. *)
 
-module Map : Map.S with type key = t
-module Set : Set.S with type elt = t
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by values under {!Key}'s equality. Callers that
+    implement join semantics must skip [Null] keys themselves. *)

@@ -163,42 +163,6 @@ let test_wander_empty_table () =
   let t = Wander.prepare ~walks:10 profile in
   Alcotest.(check (float 0.0)) "empty A" 0.0 (Wander.estimate t (Prng.create 13))
 
-let test_wander_chain_unbiased () =
-  let prng_data = Prng.create 31 in
-  let schema_pk = Schema.make [ ("pk", Schema.T_int); ("x", Schema.T_int) ] in
-  let schema_mid =
-    Schema.make [ ("pk", Schema.T_int); ("fk", Schema.T_int); ("x", Schema.T_int) ]
-  in
-  let schema_fk = Schema.make [ ("fk", Schema.T_int); ("x", Schema.T_int) ] in
-  let a =
-    Table.create schema_pk
-      (Array.init 20 (fun i -> [| Value.Int (i + 1); Value.Int (i mod 4) |]))
-  in
-  let b =
-    Table.create schema_mid
-      (Array.init 50 (fun i ->
-           [|
-             Value.Int (i + 1);
-             Value.Int (1 + Prng.int prng_data 20);
-             Value.Int (i mod 5);
-           |]))
-  in
-  let c =
-    Table.create schema_fk
-      (Array.init 300 (fun i ->
-           [| Value.Int (1 + Prng.int prng_data 60); Value.Int (i mod 3) |]))
-  in
-  let tables =
-    { Csdl.Chain.a; a_pk = "pk"; b; b_pk = "pk"; b_fk = "fk"; c; c_fk = "fk" }
-  in
-  let pred_a = Predicate.Compare (Predicate.Lt, "x", Value.Int 3) in
-  let truth = float_of_int (Csdl.Chain.true_size ~pred_a tables) in
-  let w = Wander.prepare_chain ~walks:60 tables in
-  let mean =
-    mean_of (fun prng -> Wander.estimate_chain ~pred_a w prng) 3000 33
-  in
-  check_unbiased ~label:"wander chain" ~truth mean 0.08
-
 let test_wander_rejects_zero_walks () =
   Alcotest.check_raises "walks >= 1"
     (Invalid_argument "Wander.prepare: walks must be >= 1") (fun () ->
@@ -577,7 +541,6 @@ let () =
           Alcotest.test_case "unbiased" `Slow test_wander_unbiased;
           Alcotest.test_case "predicates" `Slow test_wander_with_predicates;
           Alcotest.test_case "empty table" `Quick test_wander_empty_table;
-          Alcotest.test_case "chain unbiased" `Slow test_wander_chain_unbiased;
           Alcotest.test_case "zero walks" `Quick test_wander_rejects_zero_walks;
         ] );
       ( "join_synopsis",

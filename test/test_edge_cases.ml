@@ -114,20 +114,20 @@ let test_chain_with_empty_middle () =
   let a = table_of_counts [ (1, 2) ] in
   let tables =
     {
-      Csdl.Chain.a;
-      a_pk = "k";
-      b = Lazy.force empty;
-      b_pk = "k";
-      b_fk = "attr";
-      c = Lazy.force normal;
-      c_fk = "k";
+      Csdl.Chain_n.links =
+        [
+          { Csdl.Chain_n.table = a; pk = "k"; fk = None };
+          { Csdl.Chain_n.table = Lazy.force empty; pk = "k"; fk = Some "attr" };
+        ];
+      last = Lazy.force normal;
+      last_fk = "k";
     }
   in
-  Alcotest.(check int) "truth 0" 0 (Csdl.Chain.true_size tables);
-  let prepared = Csdl.Chain.prepare Csdl.Spec.cs2l ~theta:0.5 tables in
-  let synopsis = Csdl.Chain.draw prepared (Prng.create 13) in
+  Alcotest.(check int) "truth 0" 0 (Csdl.Chain_n.true_size tables);
+  let prepared = Csdl.Chain_n.prepare Csdl.Spec.cs2l ~theta:0.5 tables in
+  let synopsis = Csdl.Chain_n.draw prepared (Prng.create 13) in
   Alcotest.(check (float 0.0)) "estimate 0" 0.0
-    (Csdl.Chain.estimate prepared synopsis)
+    (Csdl.Chain_n.estimate prepared synopsis)
 
 let test_star_with_unmatched_dimension () =
   (* fact rows whose fk never matches the dimension: truth and estimate 0 *)

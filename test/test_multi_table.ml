@@ -1,4 +1,5 @@
-(* Integration tests for chain and star join estimation (Section V). *)
+(* Integration tests for chain and star join estimation (Section V): the
+   paper's 3-table chain through [Chain_n] at k = 3, and star joins. *)
 
 open Repro_relation
 module Prng = Repro_util.Prng
@@ -10,6 +11,18 @@ let schema_b =
   Schema.make [ ("pk", Schema.T_int); ("fk", Schema.T_int); ("y", Schema.T_int) ]
 let schema_c =
   Schema.make [ ("fk", Schema.T_int); ("z", Schema.T_int) ]
+
+(* The paper's 3-table chain A |><| B |><| C as a [Chain_n] at k = 3. *)
+let chain3 a b c =
+  {
+    Csdl.Chain_n.links =
+      [
+        { Csdl.Chain_n.table = a; pk = "pk"; fk = None };
+        { Csdl.Chain_n.table = b; pk = "pk"; fk = Some "fk" };
+      ];
+    last = c;
+    last_fk = "fk";
+  }
 
 let mk_chain ~n_a ~n_b ~c_per_b ~seed =
   let prng = Prng.create seed in
@@ -30,59 +43,78 @@ let mk_chain ~n_a ~n_b ~c_per_b ~seed =
     Array.init (n_b * c_per_b) (fun i ->
         [| Value.Int (1 + Prng.int prng n_b); Value.Int (i mod 5) |])
   in
-  let c = Table.create schema_c rows_c in
-  {
-    Csdl.Chain.a;
-    a_pk = "pk";
-    b;
-    b_pk = "pk";
-    b_fk = "fk";
-    c;
-    c_fk = "fk";
-  }
+  (a, b, Table.create schema_c rows_c)
 
 let chain_mid = lazy (mk_chain ~n_a:50 ~n_b:200 ~c_per_b:4 ~seed:3)
+let chain_mid_tables =
+  lazy
+    (let a, b, c = Lazy.force chain_mid in
+     chain3 a b c)
 
-let test_chain_true_size_matches_join_module () =
-  let t = Lazy.force chain_mid in
-  let expected =
-    Join.chain3_count
-      ~a:(Join.unfiltered t.Csdl.Chain.a "pk")
-      ~b:(Join.unfiltered t.Csdl.Chain.b "pk")
-      ~b_fk:"fk"
-      ~c:(Join.unfiltered t.Csdl.Chain.c "fk")
-  in
-  Alcotest.(check int) "true_size consistent" expected (Csdl.Chain.true_size t)
+(* Ground truth by nested loops over the three tables. *)
+let nested_loop_count ?(pass_a = fun _ -> true) ?(pass_b = fun _ -> true)
+    ?(pass_c = fun _ -> true) (a, b, c) =
+  let col t name row = row.(Table.column_index t name) in
+  Table.fold
+    (fun acc row_c ->
+      if not (pass_c row_c) then acc
+      else
+        Table.fold
+          (fun acc row_b ->
+            if
+              pass_b row_b
+              && Value.equal (col c "fk" row_c) (col b "pk" row_b)
+            then
+              Table.fold
+                (fun acc row_a ->
+                  if
+                    pass_a row_a
+                    && Value.equal (col b "fk" row_b) (col a "pk" row_a)
+                  then acc + 1
+                  else acc)
+                acc a
+            else acc)
+          acc b)
+    0 c
+
+let test_chain_true_size_matches_nested_loop () =
+  Alcotest.(check int) "true_size consistent"
+    (nested_loop_count (Lazy.force chain_mid))
+    (Csdl.Chain_n.true_size (Lazy.force chain_mid_tables))
 
 let test_chain_scaling_exact_at_theta_one () =
-  let t = Lazy.force chain_mid in
-  let prepared = Csdl.Chain.prepare Csdl.Spec.cs2l ~theta:1.0 t in
-  let synopsis = Csdl.Chain.draw prepared (Prng.create 1) in
-  let estimate = Csdl.Chain.estimate prepared synopsis in
+  let t = Lazy.force chain_mid_tables in
+  let prepared = Csdl.Chain_n.prepare Csdl.Spec.cs2l ~theta:1.0 t in
+  let synopsis = Csdl.Chain_n.draw prepared (Prng.create 1) in
+  let estimate = Csdl.Chain_n.estimate prepared synopsis in
   Alcotest.(check (float 1e-6)) "exact"
-    (float_of_int (Csdl.Chain.true_size t))
+    (float_of_int (Csdl.Chain_n.true_size t))
     estimate
 
 let test_chain_scaling_exact_with_predicates () =
-  let t = Lazy.force chain_mid in
-  let pred_a = Predicate.Compare (Predicate.Lt, "x", Value.Int 5) in
-  let pred_b = Predicate.Compare (Predicate.Lt, "y", Value.Int 4) in
-  let pred_c = Predicate.Compare (Predicate.Lt, "z", Value.Int 3) in
-  let truth = Csdl.Chain.true_size ~pred_a ~pred_b ~pred_c t in
-  let prepared = Csdl.Chain.prepare Csdl.Spec.cs2l ~theta:1.0 t in
-  let synopsis = Csdl.Chain.draw prepared (Prng.create 2) in
-  let estimate = Csdl.Chain.estimate ~pred_a ~pred_b ~pred_c prepared synopsis in
+  let t = Lazy.force chain_mid_tables in
+  let predicates =
+    [
+      Predicate.Compare (Predicate.Lt, "x", Value.Int 5);
+      Predicate.Compare (Predicate.Lt, "y", Value.Int 4);
+      Predicate.Compare (Predicate.Lt, "z", Value.Int 3);
+    ]
+  in
+  let truth = Csdl.Chain_n.true_size ~predicates t in
+  let prepared = Csdl.Chain_n.prepare Csdl.Spec.cs2l ~theta:1.0 t in
+  let synopsis = Csdl.Chain_n.draw prepared (Prng.create 2) in
+  let estimate = Csdl.Chain_n.estimate ~predicates prepared synopsis in
   Alcotest.(check (float 1e-6)) "filtered exact" (float_of_int truth) estimate
 
 let test_chain_dl_reasonable () =
-  let t = Lazy.force chain_mid in
-  let truth = float_of_int (Csdl.Chain.true_size t) in
-  let prepared = Csdl.Chain.prepare_opt ~theta:0.3 t in
+  let t = Lazy.force chain_mid_tables in
+  let truth = float_of_int (Csdl.Chain_n.true_size t) in
+  let prepared = Csdl.Chain_n.prepare_opt ~theta:0.3 t in
   let prng = Prng.create 4 in
   let qs =
     Array.init 15 (fun _ ->
-        let synopsis = Csdl.Chain.draw prepared prng in
-        let estimate = Csdl.Chain.estimate prepared synopsis in
+        let synopsis = Csdl.Chain_n.draw prepared prng in
+        let estimate = Csdl.Chain_n.estimate prepared synopsis in
         Repro_stats.Qerror.compute ~truth ~estimate)
   in
   let median = Repro_util.Summary.median qs in
@@ -91,18 +123,18 @@ let test_chain_dl_reasonable () =
     true (median < 3.0)
 
 let test_chain_opt_dispatch () =
-  let t = Lazy.force chain_mid in
-  let jvd = Csdl.Chain.jvd t in
-  let prepared = Csdl.Chain.prepare_opt ~theta:0.3 t in
+  let t = Lazy.force chain_mid_tables in
+  let jvd = Csdl.Chain_n.jvd t in
+  let prepared = Csdl.Chain_n.prepare_opt ~theta:0.3 t in
   let expected = if jvd < 0.001 then "CSDL(1,diff)" else "CSDL(t,diff)" in
   Alcotest.(check string) "variant follows jvd" expected
-    (Csdl.Spec.to_string (Csdl.Chain.spec prepared))
+    (Csdl.Spec.to_string (Csdl.Chain_n.spec prepared))
 
 let test_chain_jvd_value () =
-  let t = Lazy.force chain_mid in
-  let expected = Join.jvd t.Csdl.Chain.b "pk" t.Csdl.Chain.c "fk" in
+  let _, b, c = Lazy.force chain_mid in
+  let expected = Join.jvd b "pk" c "fk" in
   Alcotest.(check (float 1e-12)) "jvd = B-C join density" expected
-    (Csdl.Chain.jvd t)
+    (Csdl.Chain_n.jvd (Lazy.force chain_mid_tables))
 
 let test_chain_dangling_fk_contributes_zero () =
   (* C rows pointing at nonexistent B keys must not contribute. *)
@@ -117,28 +149,27 @@ let test_chain_dangling_fk_contributes_zero () =
         [| Value.Int 999; Value.Int 0 |] (* dangling *);
       |]
   in
-  let t =
-    { Csdl.Chain.a; a_pk = "pk"; b; b_pk = "pk"; b_fk = "fk"; c; c_fk = "fk" }
-  in
-  Alcotest.(check int) "truth" 1 (Csdl.Chain.true_size t);
-  let prepared = Csdl.Chain.prepare Csdl.Spec.cs2l ~theta:1.0 t in
-  let synopsis = Csdl.Chain.draw prepared (Prng.create 5) in
+  let t = chain3 a b c in
+  Alcotest.(check int) "truth" 1 (Csdl.Chain_n.true_size t);
+  let prepared = Csdl.Chain_n.prepare Csdl.Spec.cs2l ~theta:1.0 t in
+  let synopsis = Csdl.Chain_n.draw prepared (Prng.create 5) in
   Alcotest.(check (float 1e-6)) "estimate" 1.0
-    (Csdl.Chain.estimate prepared synopsis)
+    (Csdl.Chain_n.estimate prepared synopsis)
 
 let test_chain_synopsis_bounded () =
-  let t = Lazy.force chain_mid in
-  let prepared = Csdl.Chain.prepare_opt ~theta:0.1 t in
+  let t = Lazy.force chain_mid_tables in
+  let prepared = Csdl.Chain_n.prepare_opt ~theta:0.1 t in
   let prng = Prng.create 6 in
   let total = ref 0 in
   let runs = 50 in
   for _ = 1 to runs do
-    total := !total + Csdl.Chain.synopsis_tuples (Csdl.Chain.draw prepared prng)
+    total :=
+      !total + Csdl.Chain_n.synopsis_tuples (Csdl.Chain_n.draw prepared prng)
   done;
   let mean = float_of_int !total /. float_of_int runs in
   let data_size =
-    Table.cardinality t.Csdl.Chain.a + Table.cardinality t.Csdl.Chain.b
-    + Table.cardinality t.Csdl.Chain.c
+    let a, b, c = Lazy.force chain_mid in
+    Table.cardinality a + Table.cardinality b + Table.cardinality c
   in
   (* Sentries and PK witnesses add a per-value floor, so allow 3x. *)
   Alcotest.(check bool)
@@ -254,26 +285,34 @@ let test_tpch_chain_runs () =
   let d = Repro_datagen.Tpch.generate ~scale:0.01 ~z:1.0 ~seed:13 in
   let t =
     {
-      Csdl.Chain.a = d.Repro_datagen.Tpch.customer;
-      a_pk = "c_custkey";
-      b = d.Repro_datagen.Tpch.orders;
-      b_pk = "o_orderkey";
-      b_fk = "o_custkey";
-      c = d.Repro_datagen.Tpch.lineitem;
-      c_fk = "l_orderkey";
+      Csdl.Chain_n.links =
+        [
+          {
+            Csdl.Chain_n.table = d.Repro_datagen.Tpch.customer;
+            pk = "c_custkey";
+            fk = None;
+          };
+          {
+            Csdl.Chain_n.table = d.Repro_datagen.Tpch.orders;
+            pk = "o_orderkey";
+            fk = Some "o_custkey";
+          };
+        ];
+      last = d.Repro_datagen.Tpch.lineitem;
+      last_fk = "l_orderkey";
     }
   in
-  let pred_a =
-    Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0)
+  let predicates =
+    [ Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0) ]
   in
-  let truth = Csdl.Chain.true_size ~pred_a t in
+  let truth = Csdl.Chain_n.true_size ~predicates t in
   Alcotest.(check bool) "truth positive" true (truth > 0);
-  let prepared = Csdl.Chain.prepare_opt ~theta:0.2 t in
+  let prepared = Csdl.Chain_n.prepare_opt ~theta:0.2 t in
   let prng = Prng.create 14 in
   let estimates =
     Array.init 11 (fun _ ->
-        let s = Csdl.Chain.draw prepared prng in
-        Csdl.Chain.estimate ~pred_a prepared s)
+        let s = Csdl.Chain_n.draw prepared prng in
+        Csdl.Chain_n.estimate ~predicates prepared s)
   in
   let qs =
     Array.map
@@ -292,7 +331,7 @@ let () =
       ( "chain",
         [
           Alcotest.test_case "true size consistent" `Quick
-            test_chain_true_size_matches_join_module;
+            test_chain_true_size_matches_nested_loop;
           Alcotest.test_case "scaling exact theta=1" `Quick
             test_chain_scaling_exact_at_theta_one;
           Alcotest.test_case "filtered exact theta=1" `Quick

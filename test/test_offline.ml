@@ -300,40 +300,42 @@ let prop_filtered_truth =
         (Csdl.Sentinel.filtered_truth p ~pred_a ~pred_b)
         (Oracle.filtered_truth p ~pred_a ~pred_b))
 
-(* [Value.Tbl] equates [Int x] with [Float (float_of_int x)], so when the
-   two land in one bucket they share a group. Past 2^53 the float is
-   rounded, and a comparison with the rounded int tells the rows apart:
-   such a predicate must be counted row by row. *)
+(* [Value.Tbl] keeps [Int x] and [Float (float_of_int x)] apart, so they
+   form two groups: where they share a bucket, and past 2^53, where the
+   float is rounded and a comparison with the rounded int tells the rows
+   apart. Per-group counts stay the row-by-row counts. *)
 let test_rounded_int_group () =
-  let rec merged x =
-    if x > two_53 + 200_000 then Alcotest.fail "no bucket collision found"
-    else
-      let t = table_of [| Value.Int x; Value.Float (float_of_int x) |] in
-      if Value.Tbl.length (Table.group_by t "k") = 1 then (x, t)
-      else merged (x + 2)
+  let same_bucket x =
+    Value.hash (Value.Int x) land 1023
+    = Value.hash (Value.Float (float_of_int x)) land 1023
   in
-  let x, ta = merged (two_53 + 1) in
-  let rounded = int_of_float (float_of_int x) in
-  Alcotest.(check bool) "rounded" true (rounded <> x);
-  let p = Csdl.Profile.of_tables ta "k" (table_of [| Value.Int x |]) "k" in
+  let rec first_from step x =
+    if same_bucket x then x else first_from step (x + step)
+  in
   List.iter
-    (fun pred ->
-      let pred_a = Some pred in
-      Alcotest.(check (float 0.0))
-        (Predicate.to_string pred)
-        (Oracle.filtered_truth p ~pred_a ~pred_b:None)
-        (Csdl.Sentinel.filtered_truth p ~pred_a ~pred_b:None))
-    [
-      Predicate.Compare (Predicate.Eq, "k", Value.Int rounded);
-      Predicate.Compare (Predicate.Le, "k", Value.Int rounded);
-      Predicate.Compare (Predicate.Eq, "k", Value.Int x);
-      Predicate.Compare (Predicate.Eq, "k", Value.Float (float_of_int x));
-    ];
-  Alcotest.(check (float 0.0))
-    "the float row matches the rounded int" 1.0
-    (Csdl.Sentinel.filtered_truth p
-       ~pred_a:(Some (Predicate.Compare (Predicate.Eq, "k", Value.Int rounded)))
-       ~pred_b:None)
+    (fun x ->
+      let keys = [| Value.Int x; Value.Float (float_of_int x) |] in
+      let ta = table_of keys in
+      Alcotest.(check int)
+        (Printf.sprintf "Int %d and its float: two groups" x)
+        2
+        (Value.Tbl.length (Table.group_by ta "k"));
+      let p = Csdl.Profile.of_tables ta "k" (table_of keys) "k" in
+      let rounded = int_of_float (float_of_int x) in
+      List.iter
+        (fun pred ->
+          let pred_a = Some pred in
+          Alcotest.(check (float 0.0))
+            (Predicate.to_string pred)
+            (Oracle.filtered_truth p ~pred_a ~pred_b:None)
+            (Csdl.Sentinel.filtered_truth p ~pred_a ~pred_b:None))
+        [
+          Predicate.Compare (Predicate.Eq, "k", Value.Int rounded);
+          Predicate.Compare (Predicate.Le, "k", Value.Int rounded);
+          Predicate.Compare (Predicate.Eq, "k", Value.Int x);
+          Predicate.Compare (Predicate.Eq, "k", Value.Float (float_of_int x));
+        ])
+    [ 3; two_53 + 1; first_from 1 0; first_from 2 (two_53 + 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* (c) fingerprints reused only for the same table                      *)

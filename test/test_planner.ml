@@ -263,79 +263,21 @@ let test_optimizer_five_relation_star () =
   Alcotest.(check bool) "finite cost" true (Float.is_finite cost)
 
 (* ------------------------------------------------------------------ *)
-(* Executor                                                            *)
+(* Exact sizes                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_executor_pair_matches_join_count () =
-  let q = chain_query () in
-  let plan = Optimizer.Join (Optimizer.Scan 0, Optimizer.Scan 1) in
-  let result = Executor.execute q plan in
-  Alcotest.(check int) "a |><| b" 22 (Table.cardinality result);
-  (* qualified columns exist *)
-  let schema = Table.schema result in
-  Alcotest.(check bool) "a.a_k present" true (Schema.mem schema "a.a_k");
-  Alcotest.(check bool) "b.b_k present" true (Schema.mem schema "b.b_k")
-
-let test_executor_result_size_plan_invariant () =
-  let q = chain_query () in
-  let p1 = Optimizer.Join (Optimizer.Join (Scan 0, Scan 1), Scan 2) in
-  let p2 = Optimizer.Join (Scan 0, Optimizer.Join (Scan 1, Scan 2)) in
-  Alcotest.(check int) "same result size"
-    (Executor.result_size q p1) (Executor.result_size q p2)
-
-let test_executor_join_values_actually_match () =
-  let q = chain_query () in
-  let plan = Optimizer.Join (Optimizer.Scan 0, Optimizer.Scan 1) in
-  let result = Executor.execute q plan in
-  let ia = Table.column_index result "a.a_k" in
-  let ib = Table.column_index result "b.b_k" in
-  Table.iter
-    (fun row ->
-      if not (Value.equal row.(ia) row.(ib)) then
-        Alcotest.fail "join condition violated")
-    result
-
-let test_executor_applies_predicates () =
-  let q =
-    Query.make
-      [
-        {
-          Query.name = "a";
-          table = table "a" [ (1, 10) ];
-          predicate = Predicate.Compare (Predicate.Lt, "a_x", Value.Int 4);
-        };
-        rel "b" [ (1, 2) ];
-      ]
-      [ edge "a" "b" ]
-  in
-  let plan = Optimizer.Join (Optimizer.Scan 0, Optimizer.Scan 1) in
-  Alcotest.(check int) "filtered join" 8 (Executor.result_size q plan)
-
-let test_executor_cartesian_product () =
-  (* force a join between the disconnected pair (a, c) of the chain *)
-  let q = chain_query () in
-  let plan = Optimizer.Join (Optimizer.Scan 0, Optimizer.Scan 2) in
-  Alcotest.(check int) "cartesian size" (6 * 9) (Executor.result_size q plan)
-
-let test_executor_true_cost () =
-  let q = chain_query () in
-  let plan = Optimizer.Join (Optimizer.Join (Scan 1, Scan 2), Scan 0) in
-  (* C_out = |b >< c| + |(b >< c) >< a| *)
-  let bc = 13 in
-  let abc = Executor.result_size q plan in
-  Alcotest.(check (float 1e-9)) "true C_out"
-    (float_of_int (bc + abc))
-    (Executor.true_cost q plan)
-
 let test_executor_vs_independence_model () =
-  (* the independence-combined model and the executor agree exactly on
-     pairs *)
+  (* the independence-combined model and the exact join count agree
+     exactly on pairs *)
   let q = chain_query () in
   let model = Cardinality.of_exact q in
-  let plan = Optimizer.Join (Optimizer.Scan 1, Optimizer.Scan 2) in
+  let side i =
+    let r = Query.relation q i in
+    Join.filtered r.Query.table (r.Query.name ^ "_k") r.Query.predicate
+  in
   Alcotest.(check (float 1e-6)) "pair agreement"
     (Cardinality.subset_cardinality model [ 1; 2 ])
-    (float_of_int (Executor.result_size q plan))
+    (float_of_int (Join.pair_count (side 1) (side 2)))
 
 let () =
   Alcotest.run "repro_planner"
@@ -357,15 +299,6 @@ let () =
         ] );
       ( "executor",
         [
-          Alcotest.test_case "pair matches join count" `Quick
-            test_executor_pair_matches_join_count;
-          Alcotest.test_case "result size plan-invariant" `Quick
-            test_executor_result_size_plan_invariant;
-          Alcotest.test_case "join values match" `Quick
-            test_executor_join_values_actually_match;
-          Alcotest.test_case "applies predicates" `Quick test_executor_applies_predicates;
-          Alcotest.test_case "cartesian product" `Quick test_executor_cartesian_product;
-          Alcotest.test_case "true cost" `Quick test_executor_true_cost;
           Alcotest.test_case "agrees with model on pairs" `Quick
             test_executor_vs_independence_model;
         ] );

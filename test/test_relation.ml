@@ -33,6 +33,20 @@ let test_value_containers_handle_null () =
   Alcotest.(check int) "null key unified" 1 (Value.Tbl.length tbl);
   Alcotest.(check (option int)) "replaced" (Some 2) (Value.Tbl.find_opt tbl Value.Null)
 
+let test_value_int_float_keys_apart () =
+  Alcotest.(check bool) "Key: Int 3 <> Float 3." false
+    Value.(Key.equal (Int 3) (Float 3.0));
+  Alcotest.(check bool) "equal still widens" true
+    Value.(equal (Int 3) (Float 3.0));
+  let tbl = Value.Tbl.create 16 in
+  for x = 0 to 9_999 do
+    Value.Tbl.replace tbl (Value.Int x) ();
+    Value.Tbl.replace tbl (Value.Float (float_of_int x)) ()
+  done;
+  Value.Tbl.replace tbl (Value.Float (-0.0)) ();
+  Alcotest.(check int) "each Int x beside its float, one zero" 20_000
+    (Value.Tbl.length tbl)
+
 let test_value_to_string () =
   Alcotest.(check string) "int" "42" (Value.to_string (Value.Int 42));
   Alcotest.(check string) "null" "NULL" (Value.to_string Value.Null);
@@ -246,17 +260,6 @@ let test_join_nulls_never_join () =
   Alcotest.(check int) "null join" 0
     (Join.pair_count (Join.unfiltered l "a") (Join.unfiltered r "a"))
 
-let test_join_pair_rows () =
-  let rows =
-    Join.pair_rows (Join.unfiltered join_left "a") (Join.unfiltered join_right "a")
-  in
-  Alcotest.(check int) "materialised size" 4 (List.length rows)
-
-let test_join_semijoin () =
-  let keep = Value.Set.of_list [ Value.Int 2; Value.Int 9 ] in
-  let result = Join.semijoin join_left "a" ~member:(fun v -> Value.Set.mem v keep) in
-  Alcotest.(check int) "semijoin size" 2 (Table.cardinality result)
-
 let test_join_jvd () =
   (* left: 3 distinct / 5 rows; right: 2 distinct / 4 rows *)
   Alcotest.(check (float 1e-9)) "jvd" 0.5 (Join.jvd join_left "a" join_right "a")
@@ -286,25 +289,30 @@ let chain_c =
       [| Value.Int 999; Value.Int 3 |];
     ]
 
+(* The exact 3-table chain count is [Csdl.Chain_n.true_size] at k = 3. *)
+let chain3 =
+  {
+    Csdl.Chain_n.links =
+      [
+        { Csdl.Chain_n.table = chain_a; pk = "pk"; fk = None };
+        { Csdl.Chain_n.table = chain_b; pk = "pk"; fk = Some "fk" };
+      ];
+    last = chain_c;
+    last_fk = "fk";
+  }
+
 let test_join_chain3 () =
   (* A |><| B |><| C: B rows 100,200 -> A pk 1; B 300 -> A pk 2; B 400 -> no A.
      C: two rows fk=100 (join via B 100 -> A 1), one fk=300 (B 300 -> A 2),
      one 999 no match. Total = 2 + 1 = 3. *)
-  Alcotest.(check int) "chain count" 3
-    (Join.chain3_count
-       ~a:(Join.unfiltered chain_a "pk")
-       ~b:(Join.unfiltered chain_b "pk")
-       ~b_fk:"fk"
-       ~c:(Join.unfiltered chain_c "fk"))
+  Alcotest.(check int) "chain count" 3 (Csdl.Chain_n.true_size chain3)
 
 let test_join_chain3_with_predicate () =
   (* Selection x = 10 keeps only A pk 1, killing the fk=300 path. *)
   Alcotest.(check int) "filtered chain" 2
-    (Join.chain3_count
-       ~a:(Join.filtered chain_a "pk" (Predicate.Compare (Predicate.Eq, "x", Value.Int 10)))
-       ~b:(Join.unfiltered chain_b "pk")
-       ~b_fk:"fk"
-       ~c:(Join.unfiltered chain_c "fk"))
+    (Csdl.Chain_n.true_size
+       ~predicates:[ Predicate.Compare (Predicate.Eq, "x", Value.Int 10) ]
+       chain3)
 
 let test_join_star_count () =
   let fact =
@@ -653,6 +661,33 @@ let prop_pair_count_commutative =
       Join.pair_count (Join.unfiltered ta "a") (Join.unfiltered tb "a")
       = Join.pair_count (Join.unfiltered tb "a") (Join.unfiltered ta "a"))
 
+(* Values where container equality and hashing could part: ints past
+   ±2^53 and the floats they round to, ±0., NaNs of several bit patterns,
+   drawn from a small pool so equal pairs are common. *)
+let key_gen =
+  let two_53 = 1 lsl 53 in
+  let ints =
+    [ 0; 1; 3; -3; two_53 - 1; two_53; two_53 + 1; two_53 + 2; -two_53 - 1;
+      max_int; min_int ]
+  in
+  let nans =
+    List.map Int64.float_of_bits
+      [ 0x7ff8000000000000L; 0x7ff8000000000001L; 0xfff8000000000000L ]
+  in
+  QCheck.Gen.oneofl
+    (Value.Null :: Value.Str "3" :: Value.Float 0.0 :: Value.Float (-0.0)
+     :: List.map (fun x -> Value.Int x) ints
+    @ List.map (fun x -> Value.Float (float_of_int x)) ints
+    @ List.map (fun x -> Value.Float x) nans)
+
+let prop_key_equal_hash_equal =
+  QCheck.Test.make ~count:2000 ~name:"Key.equal a b => Key.hash a = Key.hash b"
+    (QCheck.make ~print:(fun (a, b) ->
+         Printf.sprintf "%s, %s" (Value.to_string a) (Value.to_string b))
+       (QCheck.Gen.pair key_gen key_gen))
+    (fun (a, b) ->
+      (not (Value.Key.equal a b)) || Value.Key.hash a = Value.Key.hash b)
+
 let prop_jvd_in_unit_interval =
   QCheck.Test.make ~count:100 ~name:"jvd in [0,1]"
     (QCheck.make (QCheck.Gen.pair table_gen table_gen))
@@ -670,6 +705,8 @@ let () =
           Alcotest.test_case "compare order" `Quick test_value_compare_total_order;
           Alcotest.test_case "containers with null" `Quick test_value_containers_handle_null;
           Alcotest.test_case "to_string" `Quick test_value_to_string;
+          Alcotest.test_case "int and float keys apart" `Quick
+            test_value_int_float_keys_apart;
         ] );
       ( "schema",
         [
@@ -702,8 +739,6 @@ let () =
           Alcotest.test_case "pair count" `Quick test_join_pair_count;
           Alcotest.test_case "filtered pair count" `Quick test_join_pair_count_filtered;
           Alcotest.test_case "nulls never join" `Quick test_join_nulls_never_join;
-          Alcotest.test_case "pair rows" `Quick test_join_pair_rows;
-          Alcotest.test_case "semijoin" `Quick test_join_semijoin;
           Alcotest.test_case "jvd" `Quick test_join_jvd;
           Alcotest.test_case "chain3 count" `Quick test_join_chain3;
           Alcotest.test_case "chain3 with predicate" `Quick test_join_chain3_with_predicate;
@@ -747,5 +782,6 @@ let () =
             prop_pair_count_matches_nested_loop;
             prop_pair_count_commutative;
             prop_jvd_in_unit_interval;
+            prop_key_equal_hash_equal;
           ] );
     ]
