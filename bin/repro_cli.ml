@@ -1542,6 +1542,12 @@ let serve_run store host port jobs queue_capacity queue_policy deadline
       Printf.eprintf "error: %s: %s\n" store (Csdl.Fault.error_to_string fault);
       exit 1
   | Ok engine ->
+      (* [Engine.create] read every CSV on this domain, which from here on
+         only accepts connections: requests and [reload] run on worker
+         domains. So its scanner buffers go, and one full major collection
+         returns them with the rest of the start-up decode's garbage. *)
+      Csv_io.release_buffers ();
+      Gc.full_major ();
       let log =
         Option.map
           (fun path ->

@@ -41,9 +41,10 @@ type lenient = { table : Table.t; skipped : row_error list; skipped_count : int 
 (* ---------------- the scanner ---------------- *)
 
 (* A domain's load state, reused across reads: the file image, then what
-   one pass over it found — every field's bounds and every record. Each
-   array grows to the largest file the domain has read and never shrinks,
-   so a warm read allocates the table it returns and little else. *)
+   one pass over it found — every field's bounds, every record and the
+   columns whose fields need parsing. Each buffer grows to the largest
+   file the domain has read and never shrinks, so a warm read allocates
+   the table it returns and little else. *)
 type scan = {
   mutable image : Bytes.t;
   mutable fields : int array;
@@ -52,15 +53,25 @@ type scan = {
   mutable records : int array;
       (** per record: file line, first field, field count — or [-k] when
           field [k] opens a quote the line never closes *)
-  mutable count : int;  (** the count of the record scanned last *)
+  mutable flags : Bytes.t;
+      (** per header column: non-zero when a data field of it is neither
+          empty nor a fast int *)
 }
 
 let slot =
   Repro_util.Scratch.make (fun () ->
-      { image = Bytes.create 65536; fields = [||]; records = [||]; count = 0 })
+      {
+        image = Bytes.create 65536;
+        fields = [||];
+        records = [||];
+        flags = Bytes.empty;
+      })
+
+let release_buffers () = Repro_util.Scratch.release slot
 
 (* The whole file, read to end of file rather than to a length taken up
-   front, so a pipe or a FIFO can be read too. *)
+   front, so a pipe or a FIFO can be read too. The image always keeps a
+   byte past the file's end, where the scanner puts its sentinel. *)
 let load s path =
   let ic = open_in path in
   Fun.protect
@@ -78,98 +89,137 @@ let load s path =
       in
       fill 0)
 
-let add_field s k start len value =
-  if (3 * k) + 2 >= Array.length s.fields then
-    s.fields <- Repro_util.Scratch.grow s.fields ((3 * k) + 3) 0;
-  s.fields.(3 * k) <- start;
-  s.fields.((3 * k) + 1) <- len;
-  s.fields.((3 * k) + 2) <- value
+let[@inline] set_field (fields : int array) k start len value =
+  Array.unsafe_set fields (3 * k) start;
+  Array.unsafe_set fields ((3 * k) + 1) len;
+  Array.unsafe_set fields ((3 * k) + 2) value
 
-(* [-?[0-9]{1,18}] is a base-10 int that cannot overflow, so the digits
-   the scanner accumulated ([acc], [-1] once a non-digit was seen) give
-   exactly what [int_of_string] gives. Any other field is [min_int], which
-   has 19 digits and so never comes out of this form: those go to the
-   stdlib. *)
-let plain_value b start stop acc =
-  let neg = stop > start && Bytes.unsafe_get b start = '-' in
-  let digits = stop - start - if neg then 1 else 0 in
-  if acc < 0 || digits < 1 || digits > 18 then min_int
-  else if neg then -acc
-  else acc
+let is_digit c = c >= '0' && c <= '9'
 
-let finish s count i len =
-  s.count <- count;
-  if i < len then i + 1 else len
+(* Split the image's first [len] bytes into records and fields, and return
+   the record count. One record per line: line 1, the header, always; a
+   later line only when it is not empty, though every line counts in the
+   line numbers. A line ends at '\n' (a '\r' stays in its field); a '\n'
+   written at [len] ends the last line, so no loop tests for the end of
+   the image.
 
-let rec line_end b i len =
-  if i < len && Bytes.unsafe_get b i <> '\n' then line_end b (i + 1) len
-  else i
-
-(* Split the line starting at [b.[i]] into fields [k], [k + 1], ... of
-   [s.fields], set [s.count] to its field count, or to [-j] for an
-   unterminated quote in its field [j], and return where the next line
-   starts. A line ends at '\n' (a '\r' stays in its field). A quoted
-   field is unescaped in place (a doubled quote becomes one), which only
-   ever shortens it; after its closing quote anything but a comma ends the
-   record, dropping the rest of the line. Top-level functions with every
-   bound passed explicitly: no closure is allocated per record. *)
-let rec scan_field s b len first i k =
-  if i >= len then scan_plain s b len first i i k 0
-  else
-    match Bytes.unsafe_get b i with
-    | '"' -> scan_quoted s b len first (i + 1) (i + 1) (i + 1) k
-    | '-' -> scan_plain s b len first i (i + 1) k 0
-    | _ -> scan_plain s b len first i i k 0
-
-and scan_plain s b len first start i k acc =
-  let c = if i < len then Bytes.unsafe_get b i else '\n' in
-  if c <> ',' && c <> '\n' then
-    scan_plain s b len first start (i + 1) k
-      (if acc >= 0 && c >= '0' && c <= '9' then (10 * acc) + Char.code c - 48
-       else -1)
-  else begin
-    add_field s k start (i - start) (plain_value b start i acc);
-    if c = ',' then scan_field s b len first (i + 1) (k + 1)
-    else finish s (k + 1 - first) i len
-  end
-
-and scan_quoted s b len first start r w k =
-  if r >= len || Bytes.unsafe_get b r = '\n' then
-    finish s (-(k + 1 - first)) r len
-  else
-    match Bytes.unsafe_get b r with
-    | '"' when r + 1 < len && Bytes.unsafe_get b (r + 1) = '"' ->
-        Bytes.unsafe_set b w '"';
-        scan_quoted s b len first start (r + 2) (w + 1) k
-    | '"' ->
-        add_field s k start (w - start) min_int;
-        if r + 1 < len && Bytes.unsafe_get b (r + 1) = ',' then
-          scan_field s b len first (r + 2) (k + 1)
-        else finish s (k + 1 - first) (line_end b (r + 1) len) len
-    | c ->
-        Bytes.unsafe_set b w c;
-        scan_quoted s b len first start (r + 1) (w + 1) k
-
-(* One record per line: line 1, the header, always; a later line only when
-   it is not empty, though every line counts in the line numbers. Returns
-   the record count. *)
+   An unquoted field is read by two loops: its leading digits (after an
+   optional '-'), then its other bytes. With no other byte and 1 to 18
+   digits it is a base-10 int that cannot overflow, so the digits give
+   exactly what [int_of_string] gives; any other field's value is
+   [min_int], which has 19 digits and so never comes out of this form.
+   A field that opens with a quote is unescaped in place (a doubled quote
+   becomes one), which only ever shortens it; after its closing quote
+   anything but a comma ends the record, dropping the rest of the line.
+   A data field of column [j] that is neither empty nor a fast int flags
+   [j] (the header flags nothing), so typing parses only flagged
+   columns. *)
 let scan_image s len =
   let b = s.image in
-  let rec line pos line_no n nfields =
-    if pos >= len then n
-    else if Bytes.unsafe_get b pos = '\n' && line_no > 1 then
-      line (pos + 1) (line_no + 1) n nfields
-    else begin
-      if (3 * n) + 2 >= Array.length s.records then
-        s.records <- Repro_util.Scratch.grow s.records ((3 * n) + 3) 0;
-      let next = scan_field s b len nfields pos nfields in
-      s.records.(3 * n) <- line_no;
-      s.records.((3 * n) + 1) <- nfields;
-      s.records.((3 * n) + 2) <- s.count;
-      line next (line_no + 1) (n + 1) (nfields + max 0 s.count)
+  Bytes.unsafe_set b len '\n';
+  let n = ref 0 and k = ref 0 and pos = ref 0 and line = ref 1 in
+  let width = ref 0 in
+  while !pos < len do
+    if !line > 1 && Bytes.unsafe_get b !pos = '\n' then begin
+      incr pos;
+      incr line
     end
-  in
-  line 0 1 0 0
+    else begin
+      let first = !k and i = ref !pos in
+      (* 0 while the line has fields left *)
+      let count = ref 0 in
+      while !count = 0 do
+        (* room for field [k] before its bytes are read: no call is made
+           while they are *)
+        if (3 * !k) + 2 >= Array.length s.fields then
+          s.fields <- Repro_util.Scratch.grow s.fields ((3 * !k) + 3) 0;
+        let start = !i in
+        if Bytes.unsafe_get b start = '"' then begin
+          let r = ref (start + 1) and w = ref (start + 1) in
+          (* up to the closing quote, a doubled quote copied as one *)
+          while
+            let c = Bytes.unsafe_get b !r in
+            c <> '\n' && (c <> '"' || Bytes.unsafe_get b (!r + 1) = '"')
+          do
+            let c = Bytes.unsafe_get b !r in
+            Bytes.unsafe_set b !w c;
+            r := !r + if c = '"' then 2 else 1;
+            incr w
+          done;
+          if Bytes.unsafe_get b !r = '\n' then begin
+            count := -(!k + 1 - first);
+            i := !r
+          end
+          else begin
+            let flen = !w - start - 1 and r = !r + 1 in
+            set_field s.fields !k (start + 1) flen min_int;
+            if !n > 0 && flen > 0 && !k - first < !width then
+              Bytes.unsafe_set s.flags (!k - first) '\001';
+            if Bytes.unsafe_get b r = ',' then begin
+              i := r + 1;
+              incr k
+            end
+            else begin
+              count := !k + 1 - first;
+              i := r;
+              while Bytes.unsafe_get b !i <> '\n' do
+                incr i
+              done
+            end
+          end
+        end
+        else begin
+          let neg = Bytes.unsafe_get b start = '-' in
+          let d = if neg then start + 1 else start in
+          let e = ref d and acc = ref 0 in
+          while is_digit (Bytes.unsafe_get b !e) do
+            acc := (10 * !acc) + Char.code (Bytes.unsafe_get b !e) - 48;
+            incr e
+          done;
+          let digits_end = !e in
+          while
+            let c = Bytes.unsafe_get b !e in
+            c <> ',' && c <> '\n'
+          do
+            incr e
+          done;
+          let stop = !e and digits = digits_end - d in
+          if stop = digits_end && digits >= 1 && digits <= 18 then
+            set_field s.fields !k start (stop - start)
+              (if neg then - !acc else !acc)
+          else begin
+            set_field s.fields !k start (stop - start) min_int;
+            if !n > 0 && stop > start && !k - first < !width then
+              Bytes.unsafe_set s.flags (!k - first) '\001'
+          end;
+          if Bytes.unsafe_get b stop = ',' then begin
+            i := stop + 1;
+            incr k
+          end
+          else begin
+            count := !k + 1 - first;
+            i := stop
+          end
+        end
+      done;
+      let r = !n in
+      if (3 * r) + 2 >= Array.length s.records then
+        s.records <- Repro_util.Scratch.grow s.records ((3 * r) + 3) 0;
+      s.records.(3 * r) <- !line;
+      s.records.((3 * r) + 1) <- first;
+      s.records.((3 * r) + 2) <- !count;
+      if r = 0 && !count > 0 then begin
+        width := !count;
+        if Bytes.length s.flags < !width then s.flags <- Bytes.create !width;
+        Bytes.fill s.flags 0 !width '\000'
+      end;
+      k := first + max 0 !count;
+      n := r + 1;
+      pos := !i + 1;
+      incr line
+    end
+  done;
+  !n
 
 let line_of s r = s.records.(3 * r)
 let first_of s r = s.records.((3 * r) + 1)
@@ -307,7 +357,9 @@ let read schema path =
 
 (* Scan [path] into [s] and type its columns: the record count (header
    included), each column's type and the schema. Every failure of
-   [read_auto] is raised here, in its order. *)
+   [read_auto] is raised here, in its order. A column the scan did not
+   flag holds only empty fields and fast ints, so it is an int column
+   without looking at its fields again. *)
 let infer s path =
   let n = scan_image s (load s path) in
   if n = 0 then failwith "empty CSV file";
@@ -317,15 +369,22 @@ let infer s path =
     if count_of s r < 0 then failwith (unterminated s r)
   done;
   let arity = count_of s 0 in
-  let fit = Array.make arity 3 in
   for r = 1 to n - 1 do
-    if count_of s r <> arity then failwith (bad_arity s r arity);
-    for j = 0 to arity - 1 do
-      (* a column already down to string parses no further field *)
-      if fit.(j) <> 0 then fit.(j) <- fits s (first_of s r + j) fit.(j)
-    done
+    if count_of s r <> arity then failwith (bad_arity s r arity)
   done;
-  let types = Array.map type_of_fit fit in
+  let types =
+    Array.init arity (fun j ->
+        if Bytes.get s.flags j = '\000' then Schema.T_int
+        else begin
+          (* a column already down to string parses no further field *)
+          let fit = ref 3 and r = ref 1 in
+          while !fit <> 0 && !r < n do
+            fit := fits s (first_of s !r + j) !fit;
+            incr r
+          done;
+          type_of_fit !fit
+        end)
+  in
   let schema =
     Schema.make (List.init arity (fun j -> (field_string s j, types.(j))))
   in
@@ -351,18 +410,14 @@ let read_auto path =
 
 (* ---------------- sampled rows ---------------- *)
 
-(* The int a field of an int column reads as: the scanner's value when it
-   took the fast path, else the stdlib's. *)
-let int_field s f =
-  let v = fast_int s f in
-  if v <> min_int then v else int_of_string (field_string s f)
-
 (* The FNV-1a steps of [Table.fingerprint], repeated here so that they
    inline into the cell loop below and keep its accumulator unboxed:
    modules are compiled [-opaque] in dev builds, which stops inlining
    across them. test_load.ml holds the two to the same bytes. *)
+let fnv_prime = 0x100000001b3L
+
 let[@inline] fnv_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001b3L
+  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
 let[@inline] fnv_int64 h x =
   let h = fnv_byte h (Int64.to_int x) in
@@ -374,33 +429,59 @@ let[@inline] fnv_int64 h x =
   let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 48)) in
   fnv_byte h (Int64.to_int (Int64.shift_right_logical x 56))
 
+(* The zero bytes above a non-negative [x]'s low two or four bytes are
+   one multiply by a power of the prime, as in [Table.fnv_int]. *)
+let prime_power k =
+  let p = ref 1L in
+  for _ = 1 to k do
+    p := Int64.mul !p fnv_prime
+  done;
+  !p
+
+let prime_pow4 = prime_power 4
+let prime_pow6 = prime_power 6
+
+let[@inline] fnv_int h x =
+  if x land -0x10000 = 0 then
+    Int64.mul (fnv_byte (fnv_byte h x) (x lsr 8)) prime_pow6
+  else if x land -0x100000000 = 0 then
+    let h = fnv_byte (fnv_byte h x) (x lsr 8) in
+    Int64.mul (fnv_byte (fnv_byte h (x lsr 16)) (x lsr 24)) prime_pow4
+  else fnv_int64 h (Int64.of_int x)
+
 (* [Table.fingerprint] of the table [read_auto] builds, hashed from the
    fields: per cell the tag byte and payload [cell] would produce, in row
-   order. Only a float cell, or an int the scanner's fast path did not
-   read, allocates: the substring the stdlib parses. *)
+   order. [infer] let through only records of [arity] fields, stored one
+   after another, so the loop walks the field table linearly from the
+   first data field. Only a float cell, or an int the scanner's fast path
+   did not read, allocates: the substring the stdlib parses. *)
 let fingerprint_fields s n types schema =
   let h = ref (Table.fingerprint_header ~cardinality:(n - 1) schema) in
-  let b = s.image in
-  for r = 1 to n - 1 do
-    let first = first_of s r in
-    for j = 0 to Array.length types - 1 do
-      let f = first + j in
-      let len = field_len s f in
-      if len = 0 then h := fnv_byte !h 0
-      else
-        match types.(j) with
-        | Schema.T_int ->
-            h := fnv_int64 (fnv_byte !h 1) (Int64.of_int (int_field s f))
-        | Schema.T_float ->
-            h :=
-              fnv_int64 (fnv_byte !h 2)
-                (Int64.bits_of_float (float_of_string (field_string s f)))
-        | Schema.T_string ->
-            h := fnv_int64 (fnv_byte !h 3) (Int64.of_int len);
-            let start = s.fields.(3 * f) in
-            for i = start to start + len - 1 do
-              h := fnv_byte !h (Char.code (Bytes.unsafe_get b i))
-            done
+  let b = s.image and fields = s.fields and arity = Array.length types in
+  let o = ref (3 * arity) in
+  for _ = 1 to n - 1 do
+    for j = 0 to arity - 1 do
+      let start = fields.(!o) and len = fields.(!o + 1) in
+      (if len = 0 then h := fnv_byte !h 0
+       else
+         match Array.unsafe_get types j with
+         | Schema.T_int ->
+             let v = fields.(!o + 2) in
+             h :=
+               fnv_int (fnv_byte !h 1)
+                 (if v <> min_int then v
+                  else int_of_string (Bytes.sub_string b start len))
+         | Schema.T_float ->
+             h :=
+               fnv_int64 (fnv_byte !h 2)
+                 (Int64.bits_of_float
+                    (float_of_string (Bytes.sub_string b start len)))
+         | Schema.T_string ->
+             h := fnv_int (fnv_byte !h 3) len;
+             for i = start to start + len - 1 do
+               h := fnv_byte !h (Char.code (Bytes.unsafe_get b i))
+             done);
+      o := !o + 3
     done
   done;
   !h

@@ -12,11 +12,20 @@
     table (see {!Table.sampled}).
 
     The scanner reads the whole file, to end of file (a pipe or FIFO
-    works), into a buffer owned by the calling domain, then splits it in
-    one pass into field bounds kept in a second reused buffer. Both grow
-    to the largest file the domain has read and are never shrunk, so a
-    warm read allocates the table it returns and little else. Domains
-    reading at once each use their own buffers.
+    works), into a buffer owned by the calling domain, and splits it in
+    one typed pass. Each field's bounds go to a second reused buffer, with
+    its value when it is a decimal int of 1 to 18 digits after an optional
+    ['-'], read as its digits are scanned; and a column is flagged when
+    one of its data fields is neither empty nor such an int (the header
+    flags none). Schema inference then parses the fields of flagged
+    columns only, with the stdlib, so an all-int file is typed without a
+    second pass over its fields. A field that opens with a quote is a
+    rare branch of the same loop: it is unescaped in place in the file
+    image, and its text always goes to the stdlib. The buffers grow to the
+    largest file the domain has read and are never shrunk, so a warm read
+    allocates the table it returns and little else, until
+    {!release_buffers} drops them. Domains reading at once each use their
+    own buffers.
 
     The format, quirks included:
     - records are split on ['\n'] only; a ['\r'] stays in its field;
@@ -96,3 +105,11 @@ val read_rows : string -> columns:string list -> rows:int array -> Table.sampled
     float cell and per cell the fast int path cannot read); a named
     column costs a value per non-empty cell and a table of its distinct
     values. *)
+
+val release_buffers : unit -> unit
+(** Drop the calling domain's scanner buffers (see above), so that they
+    can be collected; its next read builds new ones. For a domain that is
+    done reading: [repro_cli serve] calls it on its main domain once
+    [Engine.create] has read every CSV there (requests and [reload] run
+    on worker domains, which keep theirs for the misses they serve), then
+    runs one full major collection. *)

@@ -139,8 +139,31 @@ let[@inline] fnv_int64 h x =
   let h = fnv_byte h (Int64.to_int (Int64.shift_right_logical x 48)) in
   fnv_byte h (Int64.to_int (Int64.shift_right_logical x 56))
 
+(* [fnv_int64 h (Int64.of_int x)] in fewer multiplies. A zero byte's
+   step is a multiply by the prime, so the zero bytes above a non-negative
+   [x]'s low two (or four) bytes fold into one multiply by the prime's
+   sixth (or fourth) power: three multiplies for an int below 2^16, not
+   eight. The hash is the same. *)
+let prime_power k =
+  let p = ref 1L in
+  for _ = 1 to k do
+    p := Int64.mul !p fnv_prime
+  done;
+  !p
+
+let prime_pow4 = prime_power 4
+let prime_pow6 = prime_power 6
+
+let[@inline] fnv_int h x =
+  if x land -0x10000 = 0 then
+    Int64.mul (fnv_byte (fnv_byte h x) (x lsr 8)) prime_pow6
+  else if x land -0x100000000 = 0 then
+    let h = fnv_byte (fnv_byte h x) (x lsr 8) in
+    Int64.mul (fnv_byte (fnv_byte h (x lsr 16)) (x lsr 24)) prime_pow4
+  else fnv_int64 h (Int64.of_int x)
+
 let fnv_string h s =
-  let h = ref (fnv_int64 h (Int64.of_int (String.length s))) in
+  let h = ref (fnv_int h (String.length s)) in
   for i = 0 to String.length s - 1 do
     h := fnv_byte !h (Char.code (String.unsafe_get s i))
   done;
@@ -154,7 +177,7 @@ let fingerprint_header ~cardinality schema =
         | Schema.T_int -> 0
         | Schema.T_float -> 1
         | Schema.T_string -> 2))
-    (fnv_int64 fnv_offset (Int64.of_int cardinality))
+    (fnv_int fnv_offset cardinality)
     (Schema.columns schema)
 
 (* The cell loop keeps its accumulator in a local that no closure or call
@@ -168,10 +191,10 @@ let fingerprint t =
     for c = 0 to Array.length row - 1 do
       match row.(c) with
       | Value.Null -> h := fnv_byte !h 0
-      | Value.Int x -> h := fnv_int64 (fnv_byte !h 1) (Int64.of_int x)
+      | Value.Int x -> h := fnv_int (fnv_byte !h 1) x
       | Value.Float x -> h := fnv_int64 (fnv_byte !h 2) (Int64.bits_of_float x)
       | Value.Str s ->
-          h := fnv_int64 (fnv_byte !h 3) (Int64.of_int (String.length s));
+          h := fnv_int (fnv_byte !h 3) (String.length s);
           for i = 0 to String.length s - 1 do
             h := fnv_byte !h (Char.code (String.unsafe_get s i))
           done

@@ -58,7 +58,11 @@ val fingerprint : t -> int64
     (length-prefixed) and a type byte, then per cell a tag byte and its
     payload (an int's or a float's 64 bits little-endian, a string's
     length then bytes). The loop keeps its accumulator unboxed and
-    allocates nothing per cell. *)
+    allocates nothing per cell. It hashes those bytes in fewer multiplies:
+    an FNV-1a step over a zero byte is a multiply by the prime, so the
+    zero bytes above a non-negative int's low two (or four) bytes, and a
+    string length's, fold into one multiply by a power of the prime. The
+    hash is the same. *)
 
 val fingerprint_header : cardinality:int -> Schema.t -> int64
 (** The hash {!fingerprint} has reached after the cardinality and the

@@ -11,6 +11,8 @@ let with_ t f =
   Fun.protect ~finally:(fun () -> Atomic.set slot (Some buffer)) (fun () ->
       f buffer)
 
+let release t = Atomic.set (Domain.DLS.get t.slot) None
+
 let grow a len fill =
   if Array.length a >= len then a
   else begin

@@ -19,6 +19,13 @@ val with_ : 'a t -> ('a -> 'b) -> 'b
     goes back into the slot when [f] returns or raises. [f] must not let
     the buffer escape. *)
 
+val release : 'a t -> unit
+(** [release slot] empties the calling domain's slot, so that its buffer
+    can be collected; the domain's next [with_] builds a fresh one. For a
+    domain done with a hot path, such as one that read its start-up files
+    and now only waits. Inside a [with_] of the same slot it does nothing:
+    [with_] puts its buffer back when [f] returns. *)
+
 val grow : 'a array -> int -> 'a -> 'a array
 (** [grow a len fill] is [a] when it holds at least [len] cells, else a new
     array of at least [len] cells (doubling, so repeated growth is

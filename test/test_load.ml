@@ -81,6 +81,23 @@ let string_fields =
     "\"say \"\"hi\"\"\""; "\"\""; "\"12\""; "\"-0\""; "\"1.5\""; "a\"b";
   |]
 
+(* ints at the edges of the fingerprint's zero-byte shortcut: every small
+   one, both sides of each byte boundary, and the ints it leaves to the
+   eight-byte steps *)
+let edge_ints =
+  Array.concat
+    [
+      Array.init 301 Fun.id;
+      Array.of_list
+        (List.concat_map
+           (fun k -> [ (1 lsl (8 * k)) - 1; 1 lsl (8 * k) ])
+           [ 1; 2; 3; 4; 5; 6; 7 ]);
+      [| -1; min_int; max_int |];
+    ]
+
+(* strings whose lengths cross a byte boundary, or two *)
+let long_string gen = G.(string_size ~gen (oneofa [| 255; 256; 65_536 |]))
+
 let digits n =
   G.(
     map2
@@ -95,10 +112,16 @@ let digits_field =
 
 let field_gen kind =
   let pool a = G.oneofa a in
+  let edge_int = G.map string_of_int (pool edge_ints) in
   match kind with
   | 0 ->
       G.frequency
-        [ (12, digits_field); (1, pool int_fields); (1, G.return "") ]
+        [
+          (12, digits_field);
+          (1, pool int_fields);
+          (2, edge_int);
+          (1, G.return "");
+        ]
   | 1 ->
       G.frequency
         [
@@ -109,12 +132,18 @@ let field_gen kind =
         ]
   | 2 ->
       G.frequency
-        [ (3, pool string_fields); (1, digits_field); (1, G.return "") ]
+        [
+          (9, pool string_fields);
+          (2, digits_field);
+          (2, G.return "");
+          (1, long_string (G.char_range 'a' 'z'));
+        ]
   | _ ->
       G.oneof
         [
           digits_field;
           pool int_fields;
+          edge_int;
           pool float_fields;
           pool string_fields;
           G.return "";
@@ -379,20 +408,24 @@ let same_sampled (a : Table.sampled) (b : Table.sampled) =
   && Table.cardinality a.rows = Table.cardinality b.rows
   && same_table a.rows b.rows
 
-(* [read_auto] then the whole-table statistics, spelled out: what the
-   serving reader must return from its one scan. *)
-let expected_sampled path ~columns ~rows : Table.sampled =
-  let t = Csv_io.read_auto path in
+(* [read] then the whole-table statistics, spelled out: what the serving
+   reader must return from its one scan when [read] is [read_auto]. The
+   fingerprint is the oracle's, so the reader's own copy of the hash steps
+   is held to it. *)
+let sampled_of read path ~columns ~rows : Table.sampled =
+  let t = read path in
   let n = Table.cardinality t in
   let distinct = List.map (fun c -> (c, Table.distinct_count t c)) columns in
   let rows = List.filter (fun i -> i >= 0 && i < n) (Array.to_list rows) in
   {
     schema = Table.schema t;
     cardinality = n;
-    fingerprint = Table.fingerprint t;
+    fingerprint = Oracle.Fingerprint.fingerprint t;
     distinct;
     rows = Table.of_rows (Table.schema t) (List.map (Table.row t) rows);
   }
+
+let expected_sampled = sampled_of Csv_io.read_auto
 
 let prop_read_rows =
   QCheck.Test.make ~count:3000
@@ -419,6 +452,138 @@ let prop_read_rows =
                expected))
 
 (* ------------------------------------------------------------------ *)
+(* Scanner edge cases against the oracle                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every reader on [text] against the oracle: [read_auto]; [read_rows] of
+   every row (and one past the end) with every header column counted;
+   [read], [read_strict] and [read_lenient] under the schema the oracle
+   infers, or under two columns, int then string, when it fails. *)
+let check_readers name text =
+  with_text text (fun path ->
+      let check what ok =
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) true ok
+      in
+      let expected = outcome (fun () -> Oracle.Csv.read_auto path) in
+      check "read_auto"
+        (same_outcome same_table
+           (outcome (fun () -> Csv_io.read_auto path))
+           expected);
+      let schema, columns, rows =
+        match expected with
+        | Ok t ->
+            ( Table.schema t,
+              List.map fst (Schema.columns (Table.schema t)),
+              Array.init (Table.cardinality t + 1) Fun.id )
+        | Error _ ->
+            ( Schema.make [ ("c0", Schema.T_int); ("c1", Schema.T_string) ],
+              [],
+              [| 0 |] )
+      in
+      check "read_rows"
+        (same_outcome same_sampled
+           (outcome (fun () -> Csv_io.read_rows path ~columns ~rows))
+           (outcome (fun () ->
+                sampled_of Oracle.Csv.read_auto path ~columns ~rows)));
+      check "read"
+        (same_outcome same_table
+           (outcome (fun () -> Csv_io.read schema path))
+           (outcome (fun () -> Oracle.Csv.read schema path)));
+      check "read_strict"
+        (Csv_io.read_strict schema path |> Result.map Table.fingerprint
+        = (Oracle.Csv.read_strict schema path
+          |> Result.map Oracle.Fingerprint.fingerprint));
+      check "read_lenient"
+        (same_lenient
+           (Csv_io.read_lenient schema path)
+           (Oracle.Csv.read_lenient schema path)))
+
+(* The quote of the last line's second field never closes, with and
+   without a final newline. Each text is read right after a longer one
+   whose next bytes would close it: the scan must stop at the end of the
+   file, not at what an earlier read left in the buffer. *)
+let test_quote_on_last_line () =
+  List.iter
+    (fun (before, text) ->
+      check_readers "longer text first" before;
+      check_readers "quote on the last line" text)
+    [
+      ("a,b\n1,2\n3,\"x\",9\n", "a,b\n1,2\n3,\"x");
+      ("a,b\n1,2\n3,\"x\n\",9\n", "a,b\n1,2\n3,\"x\n");
+      ("a,b\n1,2\n\"x,4\",5\n", "a,b\n1,2\n\"x,4");
+    ]
+
+(* Every other field of the column is an int the fast path reads. *)
+let test_non_int_on_last_line () =
+  List.iter
+    (check_readers "non-int on the last line")
+    [
+      "a,b\n1,2\n3,4\n5,x\n";
+      "a,b\n1,2\n3,4\n5,x";
+      "a,b\n1,2\n3,4\n5,1.5";
+      "a,b\n1,2\n3,4\n5,\"6\"\n";
+    ]
+
+(* Header fields are names, not data: a header of ints types nothing, and
+   the data line right after it still types its columns. *)
+let test_digit_header () =
+  List.iter
+    (check_readers "header of digits")
+    [ "1,2\nx,3\n4,5\n"; "10,20\n1,2\n3,4\n"; "1,2\n1.5,3\n"; "-1,2\n" ]
+
+(* Ints the fast path leaves to the stdlib: a sign alone, a plus sign, a
+   prefix, underscores, and 19 digits, within the int range and past
+   it. *)
+let test_stdlib_ints () =
+  List.iter
+    (check_readers "stdlib ints")
+    [
+      "x\n-\n";
+      "x\n-\n1\n";
+      "x,y\n+5,0x1F\n1_000,1234567890123456789\n";
+      "x\n-1234567890123456789\n123456789012345678\n";
+      "x\n9999999999999999999\n";
+      "x\n4611686018427387904\n7\n";
+    ]
+
+(* A '\r' stays in its field; blank lines are skipped but keep their line
+   numbers, so an error after them names the right line. *)
+let test_cr_and_blank_lines () =
+  List.iter
+    (check_readers "\\r and blank lines")
+    [
+      "a,b\r\n1,2\r\n\n\n3,4\r\n";
+      "a,b\n1,2\n\n\n3\n";
+      "a,b\n\n1,2\n\n\n3,x,5\n";
+      "a,b\r\n\r\n1,2\r\n";
+      "a\n\n\n";
+    ]
+
+(* On a fresh domain every buffer starts small, so a 1,500-field line and
+   a 20,000-record file grow them in the middle of a scan. *)
+let test_growing_tables () =
+  let wide =
+    let names = List.init 1500 (Printf.sprintf "c%d") in
+    let row k = List.init 1500 (fun j -> string_of_int ((j * 7) + k)) in
+    String.concat "\n"
+      (List.map (String.concat ",") [ names; row 1; row 2; row 3 ])
+  in
+  let long =
+    let b = Buffer.create 200_000 in
+    Buffer.add_string b "a,b,c\n";
+    for i = 0 to 19_999 do
+      Printf.bprintf b "%d,%d,%s\n" i (i mod 97)
+        (if i mod 1000 = 999 then "\"q,r\"" else string_of_int (i * 31))
+    done;
+    Buffer.contents b
+  in
+  List.iter
+    (fun text ->
+      Domain.join
+        (Domain.spawn (fun () -> check_readers "growing tables" text)))
+    [ wide; long ]
+
+(* ------------------------------------------------------------------ *)
 (* Fingerprint and store checksum against the oracle                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -430,7 +595,12 @@ let value_gen =
         ( 3,
           map
             (fun i -> Value.Int i)
-            (oneof [ int; oneofa [| min_int; max_int; 0; -1; 1 |] ]) );
+            (oneof
+               [
+                 int;
+                 oneofa [| min_int; max_int; 0; -1; 1 |];
+                 oneofa edge_ints;
+               ]) );
         ( 2,
           map
             (fun f -> Value.Float f)
@@ -445,8 +615,13 @@ let value_gen =
                    |];
                ]) );
         ( 2,
-          map (fun s -> Value.Str s) (string_size ~gen:char (int_range 0 20))
-        );
+          map
+            (fun s -> Value.Str s)
+            (frequency
+               [
+                 (20, string_size ~gen:char (int_range 0 20));
+                 (1, long_string char);
+               ]) );
       ])
 
 let table_arb =
@@ -727,5 +902,18 @@ let () =
             test_read_auto_domains;
           Alcotest.test_case "read_rows builds no whole table" `Quick
             test_read_rows_allocation;
+        ] );
+      ( "scanner",
+        [
+          Alcotest.test_case "quote opening on the last line" `Quick
+            test_quote_on_last_line;
+          Alcotest.test_case "non-int field only on the last line" `Quick
+            test_non_int_on_last_line;
+          Alcotest.test_case "header of digits" `Quick test_digit_header;
+          Alcotest.test_case "ints only the stdlib reads" `Quick
+            test_stdlib_ints;
+          Alcotest.test_case "carriage returns and blank lines" `Quick
+            test_cr_and_blank_lines;
+          Alcotest.test_case "tables grow mid-scan" `Quick test_growing_tables;
         ] );
     ]
