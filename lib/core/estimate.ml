@@ -235,32 +235,24 @@ let learn_side ?obs ?dl_config ~virtual_ratio (a : Flat.side)
              in
              (x_v, Discrete_learning.sample_size t))
 
-(* With no predicate on the first side and the default learner, the DL
-   input depends on the synopsis alone: learn it once per flat and keep
-   x_v per position. Domains that race here compute the same bits; the
-   first to publish wins, and a loser answers from its own equal copy. *)
-let learn_unfiltered ?obs ~virtual_ratio (flat : Flat.t) (fa : filtered_side) =
-  let learned =
-    match Atomic.get flat.Flat.unfiltered_dl with
-    | Some learned -> learned
-    | None ->
-        let n = Array.length flat.Flat.a.Flat.values in
-        let learned =
-          learn_side ?obs ~virtual_ratio flat.Flat.a fa
-          |> Result.map (fun (x_v, virtual_sample_size) ->
-                 { Flat.x_v = Array.init n x_v; virtual_sample_size })
-        in
-        ignore
-          (Atomic.compare_and_set flat.Flat.unfiltered_dl None (Some learned));
-        learned
-  in
-  Result.map
-    (fun { Flat.x_v; virtual_sample_size } ->
-      ((fun j -> x_v.(j)), virtual_sample_size))
-    learned
+(* With the default learner on the virtual sample, the DL input and every
+   x_v are functions of the flat and the first side's filtered counts: the
+   flat's memo learns each distinct counts array once and keeps x_v per
+   position. *)
+let learn_memoized ?obs ~virtual_ratio (flat : Flat.t) (fa : filtered_side) =
+  let a = flat.Flat.a in
+  Flat.find_or_learn flat fa.counts (fun () ->
+      learn_side ?obs ~virtual_ratio a fa
+      |> Result.map (fun (x_v, virtual_sample_size) ->
+             {
+               Flat.x_v = Array.init (Array.length a.Flat.values) x_v;
+               virtual_sample_size;
+             }))
+  |> Result.map (fun { Flat.x_v; virtual_sample_size } ->
+         ((fun j -> x_v.(j)), virtual_sample_size))
 
 (* Eq. 7 with the learned x_v. *)
-let dl_estimate ?obs ?dl_config ~virtual_sample ~unfiltered (flat : Flat.t)
+let dl_estimate ?obs ?dl_config ~virtual_sample (flat : Flat.t)
     ~sentry_spec ~selectivity (fa : filtered_side) (fb : filtered_side) =
   let { Flat.resolved; n_prime; _ } = flat in
   let base_q = resolved.Budget.base_q in
@@ -269,8 +261,8 @@ let dl_estimate ?obs ?dl_config ~virtual_sample ~unfiltered (flat : Flat.t)
   let virtual_ratio q_v = if virtual_sample then base_q /. q_v else 1.0 in
   let a = flat.Flat.a and b = flat.Flat.b and b_to_a = flat.Flat.b_to_a in
   let learned =
-    if unfiltered && virtual_sample && Option.is_none dl_config then
-      learn_unfiltered ?obs ~virtual_ratio flat fa
+    if virtual_sample && Option.is_none dl_config then
+      learn_memoized ?obs ~virtual_ratio flat fa
     else learn_side ?obs ?dl_config ~virtual_ratio a fa
   in
   match learned with
@@ -341,11 +333,8 @@ let compute ~obs ?dl_config ~virtual_sample ~pred_a ~pred_b (flat : Flat.t) =
           let estimate, contributing = scaling_estimate flat ~sentry_spec fa fb in
           Ok (estimate, contributing, 0.0)
       | Spec.Discrete_learning ->
-          let unfiltered =
-            match pred_a with Predicate.True -> true | _ -> false
-          in
-          dl_estimate ~obs ?dl_config ~virtual_sample ~unfiltered flat
-            ~sentry_spec ~selectivity:selectivity_a fa fb
+          dl_estimate ~obs ?dl_config ~virtual_sample flat ~sentry_spec
+            ~selectivity:selectivity_a fa fb
     in
     Result.bind estimate
       (fun (estimate, contributing_values, virtual_sample_size) ->

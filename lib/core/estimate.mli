@@ -71,17 +71,18 @@ val run_checked_flat :
       stray exception (a structurally corrupt synopsis)
       [Error (Corrupt_synopsis _)].
 
-    {b Learned once per synopsis.} With [pred_a] = [Predicate.True] (matched
-    by pattern: an equivalent predicate such as [k >= 0] does not count), a
-    discrete-learning spec, no [dl_config] and [virtual_sample] on, the
-    learner's input depends on the synopsis alone. The first such call on
-    a flat runs the learner and keeps its x_v per first-side position and
-    its virtual sample size (or its fault) in the flat's
-    {!Synopsis_flat.t.unfiltered_dl} slot. Later calls read them, and
-    still filter the second side and sum Eq. 7 per query. Every other
-    call solves per request. The answers are the same bits either way;
-    only the [dl.*] and [lp.*] metrics, which count solves, see the
-    difference.
+    {b Learned once per distinct first side.} For a discrete-learning
+    spec with no [dl_config] and [virtual_sample] on, the learner's input
+    and every x_v depend only on the flat and on the first side's
+    filtered per-position counts. The first call on a flat with given
+    counts runs the learner, and the flat keeps its x_v per first-side
+    position and its virtual sample size (or its fault) in its bounded
+    memo ({!Synopsis_flat.find_or_learn}). Later calls with the same
+    counts, whatever predicate led to them ([Predicate.True] included),
+    read them, and still filter both sides and sum Eq. 7 per query. Every
+    other call, and any input the full memo cannot keep, solves per
+    request. The answers are the same bits either way; only the [dl.*]
+    and [lp.*] metrics, which count solves, see the difference.
 
     [virtual_sample] (default [true]) applies Eq. 6's virtual-sample
     correction before discrete learning; [false] feeds raw counts to the

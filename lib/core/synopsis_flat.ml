@@ -22,6 +22,55 @@ type side = {
 
 type learned = { x_v : float array; virtual_sample_size : float }
 
+(* ---------------- the learner memo ---------------- *)
+
+(* A key is the first side's filtered counts with their hash; keys
+   compare by hash first, then by a monomorphic loop over the counts, so
+   a lookup reads the counts once to hash them and once more only on the
+   entry it lands on. The hash weighs each count by its own odd
+   multiplier: the multiplies do not wait on each other, so hashing costs
+   about what one comparison pass does. *)
+type key = { hash : int; counts : int array }
+
+let hash_counts counts =
+  let h = ref (Array.length counts) and m = ref 0x100000001b3 in
+  for i = 0 to Array.length counts - 1 do
+    h := !h + (Array.unsafe_get counts i * !m);
+    m := !m + 0x9e3779b97f4a7c2
+  done;
+  !h
+
+let compare_counts (a : int array) (b : int array) =
+  let n = Array.length a in
+  if n <> Array.length b then Int.compare n (Array.length b)
+  else
+    let rec from i =
+      if i = n then 0
+      else
+        let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+        if x = y then from (i + 1) else if x < y then -1 else 1
+    in
+    from 0
+
+module Keys = Map.Make (struct
+  type t = key
+
+  let compare a b =
+    let c = Int.compare a.hash b.hash in
+    if c <> 0 then c else compare_counts a.counts b.counts
+end)
+
+type memo = { entries : (learned, Fault.error) result Keys.t; words : int }
+
+let empty_memo = { entries = Keys.empty; words = 0 }
+let memo_words = 1 lsl 16
+
+(* What one entry over [n] positions holds on a 64-bit heap: the counts
+   and x_v arrays (n words and a header each), the key record (3), the
+   map node (6), the [Ok] box (2), the learned record (3) and its boxed
+   virtual sample size (2). A fault entry is charged the same. *)
+let entry_words n = (2 * n) + 18
+
 type t = {
   resolved : Budget.t;
   n_prime : float;
@@ -31,8 +80,35 @@ type t = {
   b : side;
   b_to_a : int array;
   verdict : Fault.error option;
-  unfiltered_dl : (learned, Fault.error) result option Atomic.t;
+  dl_memo : memo Atomic.t;
 }
+
+(* Readers take the current map and never lock. A writer publishes a new
+   map with [compare_and_set], after [learn] has filled the entry, and
+   retries only when another domain published a different entry first.
+   The counts array becomes the key, so the caller must not write to it
+   afterwards. *)
+let find_or_learn t counts learn =
+  let key = { hash = hash_counts counts; counts } in
+  match Keys.find_opt key (Atomic.get t.dl_memo).entries with
+  | Some learned -> learned
+  | None ->
+      let learned = learn () in
+      let cost = entry_words (Array.length counts) in
+      let rec publish () =
+        let memo = Atomic.get t.dl_memo in
+        if memo.words + cost <= memo_words && not (Keys.mem key memo.entries)
+        then
+          let grown =
+            {
+              entries = Keys.add key learned memo.entries;
+              words = memo.words + cost;
+            }
+          in
+          if not (Atomic.compare_and_set t.dl_memo memo grown) then publish ()
+      in
+      publish ();
+      learned
 
 (* Flatten one sample. Values are laid out in the canonical shard-hash
    order ([Shard_key.compare]): the estimate loops accumulate floats in
@@ -210,5 +286,5 @@ let of_synopsis (syn : Synopsis.t) =
     b;
     b_to_a;
     verdict;
-    unfiltered_dl = Atomic.make None;
+    dl_memo = Atomic.make empty_memo;
   }

@@ -14,10 +14,10 @@
       by index instead of a [Value.Tbl.find_opt] per value per query;
     - the memoized validation verdict of the synopsis, so checked
       estimation validates once per load instead of once per query;
-    - one write-once slot ({!t.unfiltered_dl}) for the discrete learner's
-      output on the unfiltered first side, filled by the first estimate
-      that needs it rather than at flatten time, so the solve runs once
-      per synopsis instead of once per query. It is the only field that
+    - one bounded memo ({!t.dl_memo}) of the discrete learner's output
+      per distinct filtered first side, filled by the estimates that need
+      it rather than at flatten time, so the solve runs once per distinct
+      first side instead of once per query. It is the only field that
       changes after construction.
 
     A flat view holds only what an estimate reads: the sampled tuples
@@ -76,16 +76,35 @@ type side = {
   q_v : float array;
 }
 
-(** What the discrete learner gives on the {e unfiltered} first side:
-    plain floats, never the learner itself (its count-class memo and
-    scratch array are mutable, so it cannot be shared across domains). *)
+(** What the discrete learner gives on one filtered first side: plain
+    floats, never the learner itself (its count-class cache and scratch
+    array are mutable, so it cannot be shared across domains). Never
+    written once published. *)
 type learned = {
   x_v : float array;
       (** x_v of Eq. 7 per first-side position: the learned probability
-          of the value's virtual count, 0 for a value with no sampled row
-          or a rate clamped to [q_v = 0] *)
+          of the value's virtual count, 0 for a value with no passing
+          sampled row or a rate clamped to [q_v = 0] *)
   virtual_sample_size : float;  (** n of the DL input; 0 for an empty one *)
 }
+
+type memo
+(** An immutable map from a first side's filtered per-position counts
+    (passing non-sentry tuples per value, in position order) to what the
+    default learner on the Eq. 6 virtual sample gives on them, or its
+    fault. On one flat those counts fix the learner's input (the virtual
+    counts, in scan order) and every x_v, so an entry holds exactly the
+    bits a solve would give.
+
+    {b Bound.} A memo holds at most [2^16] words: an entry over [n]
+    first-side positions is charged [2n + 18] words, which is what its
+    key, its x_v and their boxes take on a 64-bit heap. An entry that
+    would pass the bound is not kept, so its input is solved per request;
+    the entries already kept stay as long as the flat does. The worst
+    case is 512 KiB per flat, and 16 MiB for a full 32-slot daemon
+    cache. *)
+
+val empty_memo : memo
 
 type t = {
   resolved : Budget.t;  (** the source synopsis' resolved budget and rates *)
@@ -105,21 +124,37 @@ type t = {
           finite non-negative [q_v] (the sampler writes [q_v = 0] when a
           budget fits only the sentries) — same fault order and wording
           as the historical per-query [validate_synopsis] *)
-  unfiltered_dl : (learned, Fault.error) result option Atomic.t;
-      (** the discrete learner's output, or its fault, on the unfiltered
-          first side: with no predicate there its input depends on the
-          synopsis alone. Empty at construction, so flattening never runs
-          the learner. {!Estimate.run_checked_flat} fills it on the first
-          estimate of a discrete-learning spec with [pred_a] =
-          [Predicate.True], no [dl_config] and the virtual sample on, and
-          reads it on every later one; any other call solves per request.
-          Filled once with [Atomic.compare_and_set]: domains that race for
-          it compute the same bits, and the loser's copy is dropped. *)
+  dl_memo : memo Atomic.t;
+      (** the discrete learner's outputs on the first sides this flat has
+          seen, through {!find_or_learn}. Empty at construction, so
+          flattening never runs the learner. {!Estimate.run_checked_flat}
+          reads and fills it for a discrete-learning spec with no
+          [dl_config] and the virtual sample on; any other call solves
+          per request. Domain-safe without a lock: readers take the
+          current immutable map, and a writer publishes a new map with
+          [Atomic.compare_and_set]. *)
 }
 
 val of_synopsis : Synopsis.t -> t
 (** Freeze a synopsis. O(size of the synopsis); meant to run once per
     draw/decode/load, never per query. *)
+
+val find_or_learn :
+  t ->
+  int array ->
+  (unit -> (learned, Fault.error) result) ->
+  (learned, Fault.error) result
+(** [find_or_learn flat counts learn] is the memo's entry for [counts], or
+    else [learn ()], kept in the memo if it fits the bound. [counts] is
+    the key: the caller must not write to it afterwards. A key is hashed
+    with an int fold and compared with a monomorphic loop: a lookup
+    hashes the counts in one pass and compares them in full only with
+    entries of the same hash. [learn] runs outside any
+    lock and its result is complete before it is published. Domains that
+    race on one key each run [learn] and get the same bits: the first to
+    publish wins, and a loser answers from its own equal copy. A domain
+    whose publication lost to a different key retries it on the newer
+    map. *)
 
 val validation_runs : unit -> int
 (** Process-wide count of structural validations performed by

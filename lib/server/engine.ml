@@ -262,8 +262,6 @@ let keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) (Atomic.get t.metas) []
   |> List.sort compare
 
-let mem t key = Hashtbl.mem (Atomic.get t.metas) key
-
 let cache_stats t =
   Mutex.lock t.cache_mutex;
   let stats = Cache.stats t.cache in
@@ -417,12 +415,7 @@ let degrade meta ~rung fault =
 
 type detail = { cache_hit : bool; shards : int }
 
-let handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b () =
-  let meta =
-    match Hashtbl.find_opt (Atomic.get t.metas) key with
-    | Some meta -> meta
-    | None -> raise Not_found
-  in
+let handle_meta t ~deadline ~key ?rid ?pred_a ?pred_b meta =
   let attrs =
     ("key", key)
     :: (match rid with Some r -> [ ("request_id", r) ] | None -> [])
@@ -471,5 +464,12 @@ let handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b () =
       | None -> Obs.observe t.obs "server.request.seconds" elapsed);
       (outcome, { cache_hit = !cache_hit; shards = meta.m_shards }))
 
+let handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b () =
+  match Hashtbl.find_opt (Atomic.get t.metas) key with
+  | None -> None
+  | Some meta -> Some (handle_meta t ~deadline ~key ?rid ?pred_a ?pred_b meta)
+
 let handle t ~deadline ~key ?rid ?pred_a ?pred_b () =
-  fst (handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b ())
+  match handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b () with
+  | Some (outcome, _) -> outcome
+  | None -> raise Not_found

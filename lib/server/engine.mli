@@ -86,8 +86,6 @@ val create :
 val keys : t -> string list
 (** Served keys, sorted. *)
 
-val mem : t -> string -> bool
-
 val reload : t -> (int, Csdl.Fault.error) result
 (** Re-decode the store file and atomically swap in its current contents
     — keys, metadata, warmed cache entries — without dropping in-flight
@@ -149,14 +147,16 @@ val handle_traced :
   ?pred_a:Predicate.t ->
   ?pred_b:Predicate.t ->
   unit ->
-  outcome * detail
+  (outcome * detail) option
 (** Serve one estimation request. Predicates are in the original (A, B)
-    orientation, as with [Store.estimate]. Raises [Not_found] for a key
-    the store does not contain (callers check {!mem} first; protocol
-    errors are not estimation outcomes). [rid] tags the request's span
-    and latency exemplar with the request ID; it never becomes a metric
-    label. The extra {!detail} feeds the access log. Domain-safe: any
-    number of workers may call this concurrently. *)
+    orientation, as with [Store.estimate]. [None] for a key the current
+    snapshot does not serve (protocol errors are not estimation
+    outcomes): the snapshot is read once, so a {!reload} that drops the
+    key while the request is being read answers [None], never an
+    exception. [rid] tags the request's span and latency exemplar with
+    the request ID; it never becomes a metric label. The extra {!detail}
+    feeds the access log. Domain-safe: any number of workers may call
+    this concurrently. *)
 
 val handle :
   t ->
@@ -167,4 +167,5 @@ val handle :
   ?pred_b:Predicate.t ->
   unit ->
   outcome
-(** {!handle_traced} without the access-log detail. *)
+(** {!handle_traced} without the access-log detail; raises [Not_found]
+    for a key the current snapshot does not serve. *)

@@ -204,66 +204,68 @@ let handle_request t ~conn ~first oc line =
       output_string oc (Printf.sprintf "ok %d\n" (String.length body));
       output_string oc body;
       finish ~id:(fresh_id t) ~verb:"metrics" ~cls:"answered" ()
-  | Ok (Protocol.Estimate { key; id; deadline_s; pred_a; pred_b }) ->
+  | Ok (Protocol.Estimate { key; id; deadline_s; pred_a; pred_b }) -> (
       let rid = match id with Some v -> v | None -> fresh_id t in
-      if not (Engine.mem t.engine key) then begin
-        output_string oc
-          (Protocol.err_line ~id:rid ("unknown key " ^ key) ^ "\n");
-        finish ~id:rid ~verb:"estimate" ~cls:"err" ~key ()
-      end
-      else begin
-        let budget_s =
-          Option.value ~default:t.config.default_deadline_s deadline_s
-        in
-        let deadline =
-          if first then
-            Deadline.anchored ~clock:t.clock ~start:conn.accepted_at
-              ~budget_s ()
-          else Deadline.make ~clock:t.clock ~budget_s ()
-        in
-        let outcome, detail =
-          Engine.handle_traced t.engine ~deadline ~key ~rid ?pred_a ?pred_b
-            ()
-        in
-        output_string oc (Protocol.render_outcome ~id:rid outcome ^ "\n");
-        let estimate =
-          match outcome with
-          | Engine.Answered v -> v
-          | Engine.Degraded { value; _ } -> value
-          | Engine.Deadline_exceeded _ | Engine.Rejected _ -> Float.nan
-        in
-        let rung =
-          match outcome with
-          | Engine.Degraded { trace; _ } -> List.length trace
-          | _ -> 0
-        in
-        finish ~id:rid ~verb:"estimate" ~cls:(Engine.outcome_class outcome)
-          ~key ~budget_s
-          ~cache:(if detail.Engine.cache_hit then "hit" else "miss")
-          ~shards:detail.Engine.shards ~rung ~estimate ()
-      end
+      let budget_s =
+        Option.value ~default:t.config.default_deadline_s deadline_s
+      in
+      let deadline =
+        if first then
+          Deadline.anchored ~clock:t.clock ~start:conn.accepted_at ~budget_s ()
+        else Deadline.make ~clock:t.clock ~budget_s ()
+      in
+      (* one read of the engine's snapshot: a reload that drops the key
+         mid-request makes it unknown, as if it never was *)
+      match
+        Engine.handle_traced t.engine ~deadline ~key ~rid ?pred_a ?pred_b ()
+      with
+      | None ->
+          output_string oc
+            (Protocol.err_line ~id:rid ("unknown key " ^ key) ^ "\n");
+          finish ~id:rid ~verb:"estimate" ~cls:"err" ~key ()
+      | Some (outcome, detail) ->
+          output_string oc (Protocol.render_outcome ~id:rid outcome ^ "\n");
+          let estimate =
+            match outcome with
+            | Engine.Answered v -> v
+            | Engine.Degraded { value; _ } -> value
+            | Engine.Deadline_exceeded _ | Engine.Rejected _ -> Float.nan
+          in
+          let rung =
+            match outcome with
+            | Engine.Degraded { trace; _ } -> List.length trace
+            | _ -> 0
+          in
+          finish ~id:rid ~verb:"estimate" ~cls:(Engine.outcome_class outcome)
+            ~key ~budget_s
+            ~cache:(if detail.Engine.cache_hit then "hit" else "miss")
+            ~shards:detail.Engine.shards ~rung ~estimate ())
 
 let handle_conn t conn =
   let ic = Unix.in_channel_of_descr conn.fd in
   let oc = Unix.out_channel_of_descr conn.fd in
   let first = ref true in
-  (try
-     let rec loop () =
-       let line = input_line ic in
-       handle_request t ~conn ~first:!first oc line;
-       first := false;
-       flush oc;
-       loop ()
-     in
-     loop ()
-   with
+  (* whatever escapes the loop, the peer gets what was written and its
+     connection closed; closing the out channel closes the underlying fd,
+     _noerr because the peer may already be gone *)
+  Fun.protect
+    ~finally:(fun () ->
+      (try flush oc with _ -> ());
+      close_out_noerr oc)
+  @@ fun () ->
+  try
+    let rec loop () =
+      let line = input_line ic in
+      handle_request t ~conn ~first:!first oc line;
+      first := false;
+      flush oc;
+      loop ()
+    in
+    loop ()
+  with
   | End_of_file | Exit -> ()
   | Unix.Unix_error _ | Sys_error _ | Sys_blocked_io ->
-      Obs.count t.obs "server.connection.errors" 1);
-  (try flush oc with _ -> ());
-  (* closing the out channel closes the underlying fd; _noerr because the
-     peer may already be gone *)
-  close_out_noerr oc
+      Obs.count t.obs "server.connection.errors" 1
 
 let worker_loop t () =
   let rec loop () =

@@ -195,7 +195,7 @@ let test_generator_coverage () =
     (Printf.sprintf "answerable empty DL inputs (%d)" !empty_input)
     true (!empty_input >= 50)
 
-(* ---------------- the per-synopsis learner slot ---------------- *)
+(* ---------------- the per-flat learner memo ---------------- *)
 
 (* What the one function answers agrees with the oracle's breakdown: the
    side the oracle filtered to nothing is empty, else every field is
@@ -284,7 +284,82 @@ let test_empty_side_solves_nothing () =
     ];
   Alcotest.(check int) "no solve" 0 (solves obs)
 
-(* Many light values: the slot holds 2,000 x_v, so filling it takes
+(* A first side's filtered per-position counts, counted row by row from
+   the synopsis' sample: the memo's key, derived without the flat. *)
+let filtered_counts (sample : Csdl.Sample.t) pred =
+  let table = sample.Csdl.Sample.table in
+  let pass = Predicate.compile pred (Table.schema table) in
+  Csdl.Shard_key.sorted_bindings sample.Csdl.Sample.entries
+  |> List.map (fun (_, (e : Csdl.Sample.entry)) ->
+         Array.fold_left
+           (fun c r -> if pass (Table.row table r) then c + 1 else c)
+           0 e.Csdl.Sample.rows)
+
+(* Predicates on the first side whose counts repeat and differ: an
+   equivalent of no predicate, predicates that pass the same rows under
+   other constants, and, for every position, one that drops a single
+   sampled row there, so two keys that differ in one position only are
+   asked of every position. *)
+let first_side_predicates (sample : Csdl.Sample.t) =
+  let drop_one =
+    Csdl.Shard_key.sorted_bindings sample.Csdl.Sample.entries
+    |> List.filter_map (fun (_, (e : Csdl.Sample.entry)) ->
+           let rows = e.Csdl.Sample.rows in
+           if Array.length rows = 0 then None
+           else
+             let tag = (Table.row sample.Csdl.Sample.table rows.(0)).(2) in
+             Some Predicate.(Not (Compare (Eq, "tag", tag))))
+  in
+  let cmp op col k = Predicate.Compare (op, col, Value.Int k) in
+  [
+    cmp Predicate.Ge "k" 1;
+    cmp Predicate.Gt "k" 0;
+    cmp Predicate.Le "k" 6;
+    cmp Predicate.Lt "k" 7;
+    cmp Predicate.Lt "attr" 3;
+    cmp Predicate.Le "attr" 2;
+    Predicate.And (cmp Predicate.Le "k" 9, cmp Predicate.Ge "attr" 1);
+    cmp Predicate.Ne "attr" 0;
+  ]
+  @ drop_one
+
+(* On one flat, estimates cycle through predicates on the first side; the
+   learner runs once per distinct counts array it is given, however many
+   predicates (or requests) lead to it. *)
+let test_learns_once_per_first_side () =
+  let synopsis, flat = dl_flat ~spec:theta_diff ~theta:0.5 3 in
+  let sample_a = synopsis.Csdl.Synopsis.sample_a in
+  let preds = first_side_predicates sample_a in
+  let obs = Obs.create () in
+  let solving = ref [] and estimates = ref 0 in
+  for round = 1 to 3 do
+    List.iteri
+      (fun i pred_a ->
+        let o = Oracle.run_with_breakdown_flat ~pred_a flat in
+        if not (agrees o (Csdl.Estimate.run_checked_flat ~obs ~pred_a flat))
+        then
+          Alcotest.failf "round %d, predicate %d (%s): oracle %h" round i
+            (Predicate.to_string pred_a) o.Oracle.estimate;
+        (* the learner runs: both sides hold evidence and its input is
+           not empty *)
+        if o.Oracle.virtual_sample_size > 0.0 then begin
+          incr estimates;
+          solving := filtered_counts sample_a pred_a :: !solving
+        end)
+      preds
+  done;
+  let distinct = List.length (List.sort_uniq compare !solving) in
+  Alcotest.(check bool)
+    (Printf.sprintf "predicates repeat first sides (%d distinct of %d)" distinct
+       (List.length preds))
+    true
+    (distinct > 8 && distinct < List.length preds);
+  Alcotest.(check int)
+    (Printf.sprintf "one solve per distinct first side (%d estimates)"
+       !estimates)
+    distinct (solves obs)
+
+(* Many light values: an entry holds 2,000 x_v, so filling it takes
    about as long as the solve before it. *)
 let wide_profile =
   lazy
@@ -295,12 +370,16 @@ let wide_profile =
        (table_of_counts (counts 3))
        "k")
 
-(* Four domains walk 100 fresh flats of one synopsis (empty slots over
-   the same arrays) in the same order, so they race for each flat's
-   slot; every answer must be the oracle's, bit for bit. *)
+(* Four domains walk 100 fresh flats of one synopsis (empty memos over
+   the same arrays) in the same order. On each flat, domain [d] asks the
+   case's first-side predicates starting from the [d]-th, so the domains
+   insert different keys into one memo at once and then read the keys
+   the others inserted, and race for each key; every answer must be the
+   oracle's, bit for bit. *)
 let test_racing_domains () =
+  let cmp op col k = Predicate.Compare (op, col, Value.Int k) in
   List.iter
-    (fun (spec, theta, pred_b) ->
+    (fun (spec, theta, preds_a, pred_b) ->
       let est =
         Csdl.Estimator.prepare ~sample_first:`A spec ~theta
           (Lazy.force wide_profile)
@@ -309,84 +388,196 @@ let test_racing_domains () =
         Csdl.Synopsis_flat.of_synopsis
           (Csdl.Estimator.draw est (Prng.create 9))
       in
-      let o = Oracle.run_with_breakdown_flat ~pred_b flat in
+      let preds_a = Array.of_list preds_a in
+      let k = Array.length preds_a in
+      let oracles =
+        Array.map
+          (fun pred_a -> Oracle.run_with_breakdown_flat ~pred_a ~pred_b flat)
+          preds_a
+      in
       let flats =
         Array.init 100 (fun _ ->
-            { flat with Csdl.Synopsis_flat.unfiltered_dl = Atomic.make None })
+            {
+              flat with
+              Csdl.Synopsis_flat.dl_memo =
+                Atomic.make Csdl.Synopsis_flat.empty_memo;
+            })
       in
       let ready = Atomic.make 0 in
-      let walk () =
+      let walk d () =
         Atomic.incr ready;
         while Atomic.get ready < 4 do
           Domain.cpu_relax ()
         done;
-        Array.map (Csdl.Estimate.run_checked_flat ~pred_b) flats
+        Array.map
+          (fun flat ->
+            Array.init k (fun i ->
+                let p = (d + i) mod k in
+                ( p,
+                  Csdl.Estimate.run_checked_flat ~pred_a:preds_a.(p) ~pred_b
+                    flat )))
+          flats
       in
-      List.init 4 (fun _ -> Domain.spawn walk)
+      List.init 4 (fun d -> Domain.spawn (walk d))
       |> List.map Domain.join
       |> List.iteri (fun d answers ->
              Array.iteri
-               (fun i answer ->
-                 if not (agrees o answer) then
-                   Alcotest.failf "%s: domain %d, flat %d: oracle %h"
-                     (Csdl.Spec.to_string spec) d i o.Oracle.estimate)
+               (fun i ->
+                 Array.iter (fun (p, answer) ->
+                     if not (agrees oracles.(p) answer) then
+                       Alcotest.failf "%s: domain %d, flat %d, %s: oracle %h"
+                         (Csdl.Spec.to_string spec) d i
+                         (Predicate.to_string preds_a.(p))
+                         oracles.(p).Oracle.estimate))
                answers))
     [
-      (theta_diff, 0.5, Predicate.True);
+      (theta_diff, 0.5, [ Predicate.True ], Predicate.True);
       ( Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_diff,
         0.3,
-        Predicate.Compare (Predicate.Lt, "attr", Value.Int 2) );
+        [ Predicate.True ],
+        cmp Predicate.Lt "attr" 2 );
+      ( theta_diff,
+        0.5,
+        [
+          Predicate.True;
+          cmp Predicate.Le "k" 1000;
+          cmp Predicate.Lt "attr" 1;
+          Predicate.And (cmp Predicate.Gt "k" 500, cmp Predicate.Ge "attr" 1);
+        ],
+        Predicate.True );
+      ( Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_diff,
+        0.3,
+        [
+          cmp Predicate.Gt "k" 1500;
+          cmp Predicate.Ne "attr" 1;
+          cmp Predicate.Le "k" 700;
+          cmp Predicate.Ge "attr" 1;
+        ],
+        cmp Predicate.Lt "attr" 2 );
     ]
 
-(* The slot answers only the default learner with the virtual sample on:
-   before and after it is filled, any other call solves for itself. *)
+(* The memo answers only the default learner with the virtual sample on:
+   before and after it holds the first side's entry, any other call
+   solves for itself, filtered first side or not. *)
 let test_other_calls_solve () =
   let config = { Csdl.Discrete_learning.default_config with linear_grid_points = 8 } in
-  let moved_config = ref 0 and moved_virtual = ref 0 in
+  let kinds =
+    [
+      ("no predicate", Predicate.True);
+      ("filtered", Predicate.Compare (Predicate.Lt, "attr", Value.Int 20));
+    ]
+  in
+  let moved_config = Array.make 2 0 and moved_virtual = Array.make 2 0 in
   for seed = 0 to 39 do
-    let _, flat = dl_flat ~theta:0.1 (2000 + seed) in
-    let oracle ?dl_config ?virtual_sample () =
-      Oracle.run_with_breakdown_flat ?dl_config ?virtual_sample flat
-    in
-    let default = oracle () in
-    let other = oracle ~dl_config:config () in
-    let raw = oracle ~virtual_sample:false () in
-    if bits other.Oracle.estimate <> bits default.Oracle.estimate then
-      incr moved_config;
-    if bits raw.Oracle.estimate <> bits default.Oracle.estimate then
-      incr moved_virtual;
-    let expect what o r =
-      if not (agrees o r) then
-        Alcotest.failf "seed %d, %s: differs from the oracle (%h)" seed what
-          o.Oracle.estimate
-    in
-    let run = Csdl.Estimate.run_checked_flat in
-    expect "config, empty slot" other (run ~dl_config:config flat);
-    expect "default" default (run flat);
-    expect "config, filled slot" other (run ~dl_config:config flat);
-    expect "no virtual sample" raw (run ~virtual_sample:false flat);
-    (* an empty side answers before the config is looked at *)
-    (match run ~dl_config:invalid_config flat with
-    | Error (Csdl.Fault.Bad_input _)
-      when default.Oracle.filtered_a_tuples > 0
-           && default.Oracle.filtered_b_tuples > 0 ->
-        ()
-    | Error (Csdl.Fault.Empty_filtered_sample _) as r when agrees default r -> ()
-    | r ->
-        Alcotest.failf "seed %d, invalid config: %s" seed
-          (match r with
-          | Ok b -> Printf.sprintf "Ok %h" b.Csdl.Estimate.estimate
-          | Error f -> Csdl.Fault.error_to_string f));
-    expect "default again" default (run flat)
+    List.iteri
+      (fun kind (what, pred_a) ->
+        let _, flat = dl_flat ~theta:0.1 (2000 + seed) in
+        let oracle ?dl_config ?virtual_sample () =
+          Oracle.run_with_breakdown_flat ?dl_config ?virtual_sample ~pred_a flat
+        in
+        let default = oracle () in
+        let other = oracle ~dl_config:config () in
+        let raw = oracle ~virtual_sample:false () in
+        if bits other.Oracle.estimate <> bits default.Oracle.estimate then
+          moved_config.(kind) <- moved_config.(kind) + 1;
+        if bits raw.Oracle.estimate <> bits default.Oracle.estimate then
+          moved_virtual.(kind) <- moved_virtual.(kind) + 1;
+        let expect call o r =
+          if not (agrees o r) then
+            Alcotest.failf "seed %d, %s, %s: differs from the oracle (%h)" seed
+              what call o.Oracle.estimate
+        in
+        let run = Csdl.Estimate.run_checked_flat ~pred_a in
+        expect "config, empty memo" other (run ~dl_config:config flat);
+        expect "no virtual sample, empty memo" raw
+          (run ~virtual_sample:false flat);
+        expect "default" default (run flat);
+        expect "config, filled memo" other (run ~dl_config:config flat);
+        expect "no virtual sample, filled memo" raw
+          (run ~virtual_sample:false flat);
+        (* an empty side answers before the config is looked at *)
+        (match run ~dl_config:invalid_config flat with
+        | Error (Csdl.Fault.Bad_input _)
+          when default.Oracle.filtered_a_tuples > 0
+               && default.Oracle.filtered_b_tuples > 0 ->
+            ()
+        | Error (Csdl.Fault.Empty_filtered_sample _) as r
+          when agrees default r ->
+            ()
+        | r ->
+            Alcotest.failf "seed %d, %s, invalid config: %s" seed what
+              (match r with
+              | Ok b -> Printf.sprintf "Ok %h" b.Csdl.Estimate.estimate
+              | Error f -> Csdl.Fault.error_to_string f));
+        expect "default again" default (run flat))
+      kinds
   done;
-  (* the calls above differ from the default, so a slot that answered
+  (* the calls above differ from the default, so a memo that answered
      them would show *)
+  List.iteri
+    (fun kind (what, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: config moves answers (%d of 40)" what
+           moved_config.(kind))
+        true
+        (moved_config.(kind) >= 10);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: virtual sample moves answers (%d of 40)" what
+           moved_virtual.(kind))
+        true
+        (moved_virtual.(kind) >= 10))
+    kinds
+
+(* More distinct first sides than the memo's bound admits: every answer
+   is still the oracle's; the inputs asked once the memo was full solve
+   again when re-asked, and the ones kept before do not. *)
+let test_bounded_memo () =
+  let est =
+    Csdl.Estimator.prepare ~sample_first:`A theta_diff ~theta:1.0
+      (Lazy.force wide_profile)
+  in
+  let flat =
+    Csdl.Synopsis_flat.of_synopsis (Csdl.Estimator.draw est (Prng.create 9))
+  in
+  let preds =
+    Array.init 24 (fun i ->
+        Predicate.Compare (Predicate.Le, "k", Value.Int (80 * (i + 1))))
+  in
+  let oracles =
+    Array.map (fun pred_a -> Oracle.run_with_breakdown_flat ~pred_a flat) preds
+  in
+  let obs = Obs.create () in
+  (* per predicate, whether asking it ran the learner *)
+  let ask round =
+    Array.mapi
+      (fun i pred_a ->
+        let before = solves obs in
+        let r = Csdl.Estimate.run_checked_flat ~obs ~pred_a flat in
+        if not (agrees oracles.(i) r) then
+          Alcotest.failf "round %d, %s: differs from the oracle (%h)" round
+            (Predicate.to_string pred_a) oracles.(i).Oracle.estimate;
+        solves obs > before)
+      preds
+  in
+  let first = ask 1 in
+  Alcotest.(check bool) "every first ask solves" true
+    (Array.for_all Fun.id first);
+  let again = ask 2 in
+  let kept =
+    match Array.find_index Fun.id again with Some k -> k | None -> 24
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "config moves answers (%d of 40)" !moved_config)
-    true (!moved_config >= 10);
+    (Printf.sprintf "some inputs kept, some solve again (%d kept of 24)" kept)
+    true (kept > 0 && kept < 24);
+  Alcotest.(check bool) "re-asked inputs past the bound solve" true
+    (Array.for_all Fun.id (Array.sub again kept (24 - kept)));
+  Alcotest.(check (array bool)) "kept entries stay" again (ask 3);
+  let words =
+    Obj.reachable_words (Obj.repr (Atomic.get flat.Csdl.Synopsis_flat.dl_memo))
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "virtual sample moves answers (%d of 40)" !moved_virtual)
-    true (!moved_virtual >= 10)
+    (Printf.sprintf "memo within 2^16 words (%d)" words)
+    true (words <= 1 lsl 16)
 
 let () =
   Alcotest.run "csdl_estimate_oracle"
@@ -401,11 +592,15 @@ let () =
       ( "slot",
         [
           Alcotest.test_case "one solve per synopsis" `Quick test_learns_once;
+          Alcotest.test_case "one solve per distinct first side" `Quick
+            test_learns_once_per_first_side;
           Alcotest.test_case "no solve behind an empty side" `Quick
             test_empty_side_solves_nothing;
           Alcotest.test_case "racing domains match the oracle" `Quick
             test_racing_domains;
           Alcotest.test_case "other calls solve for themselves" `Quick
             test_other_calls_solve;
+          Alcotest.test_case "a full memo solves what it cannot keep" `Quick
+            test_bounded_memo;
         ] );
     ]

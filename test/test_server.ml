@@ -607,8 +607,13 @@ let test_engine_answers_match_batch_path () =
 let test_engine_unknown_key () =
   with_store (fun _ path ->
       let engine = engine_exn Engine.default_config path in
-      Alcotest.(check bool) "mem" true (Engine.mem engine "a-b");
-      Alcotest.(check bool) "not mem" false (Engine.mem engine "nope");
+      let traced key =
+        Engine.handle_traced engine ~deadline:(far_deadline Clock.wall) ~key ()
+      in
+      Alcotest.(check bool) "known key answers" true
+        (Option.is_some (traced "a-b"));
+      Alcotest.(check bool) "unknown key is None" true
+        (Option.is_none (traced "nope"));
       Alcotest.check_raises "unknown key" Not_found (fun () ->
           ignore
             (Engine.handle engine ~deadline:(far_deadline Clock.wall)
@@ -690,7 +695,8 @@ let test_engine_reload () =
       | Error e -> Alcotest.failf "reload: %s" (Csdl.Fault.error_to_string e));
       Alcotest.(check (list string))
         "reloaded keys" [ "a-b"; "b-a" ] (Engine.keys engine);
-      Alcotest.(check bool) "old key gone" false (Engine.mem engine "pk-fk");
+      Alcotest.(check bool) "old key gone" false
+        (List.mem "pk-fk" (Engine.keys engine));
       let want = Csdl.Store.estimate store ~key:"b-a" in
       (match
          Engine.handle engine ~deadline:(far_deadline Clock.wall) ~key:"b-a" ()
@@ -1284,6 +1290,72 @@ let test_server_socket_roundtrip () =
           Alcotest.(check string) "quit" "ok bye" (Client.raw c "quit");
           Client.close c))
 
+(* A reload that drops a key while a request for it is in flight: the
+   request gets the reply any unknown key gets, and the connection keeps
+   serving. The server's clock runs the reload on the second read of a
+   connection's second request, the one [Deadline.make] takes after the
+   request line is parsed. *)
+let test_server_reload_drops_key_mid_request () =
+  with_store (fun store path ->
+      let engine = engine_exn Engine.default_config path in
+      (* reads left until the reload; 0 when disarmed *)
+      let countdown = Atomic.make 0 in
+      let clock () =
+        if Atomic.get countdown > 0 && Atomic.fetch_and_add countdown (-1) = 1
+        then begin
+          Csdl.Store.remove store "pk-fk";
+          Csdl.Store.save store path;
+          match Engine.reload engine with
+          | Ok _ -> ()
+          | Error e ->
+              Alcotest.failf "reload: %s" (Csdl.Fault.error_to_string e)
+        end;
+        Clock.wall ()
+      in
+      let config =
+        {
+          (Server.default_config ~port:0) with
+          jobs = 1;
+          default_deadline_s = 30.0;
+        }
+      in
+      let srv = Server.create ~clock config engine in
+      let port = Server.port srv in
+      let domain = Domain.spawn (fun () -> Server.serve srv) in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.stop srv;
+          Domain.join domain)
+        (fun () ->
+          let c = Client.connect ~timeout_s:5.0 ~host:"127.0.0.1" ~port () in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          (match Client.estimate c ~key:"pk-fk" () with
+          | Ok (Protocol.R_ok _) -> ()
+          | _ -> Alcotest.fail "first request: expected R_ok");
+          Atomic.set countdown 2;
+          (match Client.estimate c ~key:"pk-fk" () with
+          | Ok (Protocol.R_err msg) ->
+              Alcotest.(check bool)
+                ("unknown key reply: " ^ msg)
+                true
+                (contains msg "unknown key pk-fk")
+          | Ok r ->
+              Alcotest.failf "expected R_err, got %s" (Protocol.reply_class r)
+          | Error e -> Alcotest.failf "malformed reply: %s" e
+          | exception
+              ( Unix.Unix_error _ | End_of_file | Sys_error _
+              | Sys_blocked_io ) ->
+              Alcotest.fail "no reply to a request whose key a reload dropped");
+          Alcotest.(check int) "the reload ran" 0 (Atomic.get countdown);
+          Alcotest.(check string) "keys after the reload" "ok a-b"
+            (Client.raw c "keys");
+          let want = Csdl.Store.estimate store ~key:"a-b" in
+          match Client.estimate c ~key:"a-b" () with
+          | Ok (Protocol.R_ok got) ->
+              Alcotest.(check bool) "the connection keeps serving" true
+                (got = want)
+          | _ -> Alcotest.fail "expected R_ok after the dropped key"))
+
 (* request-ID propagation and the access log, over a live socket *)
 let test_server_telemetry_roundtrip () =
   with_store (fun store path ->
@@ -1446,5 +1518,7 @@ let () =
           Alcotest.test_case "live round trip" `Quick test_server_socket_roundtrip;
           Alcotest.test_case "request telemetry round trip" `Quick
             test_server_telemetry_roundtrip;
+          Alcotest.test_case "reload dropping a key mid-request errs" `Quick
+            test_server_reload_drops_key_mid_request;
         ] );
     ]
