@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every experimental table of the paper
    (Tables IV-IX plus the Section VI-A estimation-time comparison) and runs
    one Bechamel micro-benchmark per table, plus two of the load path and
-   one of the estimate on a cached flat.
+   three of the estimate on a cached flat, each timed beside its own data
+   only.
 
    Usage:  dune exec bench/main.exe -- [--quick] [--smoke] [--jobs N]
                                        [--skip-bechamel] [--skip-ablations]
@@ -128,9 +129,14 @@ let timed ?(obs = Obs.null) label f =
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per paper table, two for loading,   *)
-(* one for the estimate on a cached flat                              *)
+(* three for the estimate on a cached flat                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Each test is a name and a thunk that builds its data and returns the
+   staged call: [run_bechamel] builds one test's data, times it, and drops
+   it before the next, so no test is timed beside another's heap. The
+   thunks are forced in list order, which is the order the tests sharing
+   [prng] draw in. *)
 let bechamel_tests config data =
   let open Bechamel in
   let prng = Prng.create (config.Config.seed + 77) in
@@ -144,125 +150,128 @@ let bechamel_tests config data =
              "bechamel: no query %S in the two-table workload (have: %s)" name
              (String.concat ", " (List.map (fun q -> q.Job.name) queries)))
   in
+  let test name f = (name, fun () -> Test.make ~name (Staged.stage (f ()))) in
   let pair_estimate_test ~name ~query_name ~spec ~theta =
-    let q = find_query query_name in
-    let profile =
-      Csdl.Profile.of_tables q.Job.a.Join.table q.Job.a.Join.column
-        q.Job.b.Join.table q.Job.b.Join.column
-    in
-    let estimator = Csdl.Estimator.prepare spec ~theta profile in
-    let synopsis = Csdl.Estimator.draw estimator prng in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Csdl.Estimator.estimate ~pred_a:q.Job.a.Join.predicate
-                ~pred_b:q.Job.b.Join.predicate estimator synopsis)))
+    test name (fun () ->
+        let q = find_query query_name in
+        let profile =
+          Csdl.Profile.of_tables q.Job.a.Join.table q.Job.a.Join.column
+            q.Job.b.Join.table q.Job.b.Join.column
+        in
+        let estimator = Csdl.Estimator.prepare spec ~theta profile in
+        let synopsis = Csdl.Estimator.draw estimator prng in
+        fun () ->
+          Sys.opaque_identity
+            (Csdl.Estimator.estimate ~pred_a:q.Job.a.Join.predicate
+               ~pred_b:q.Job.b.Join.predicate estimator synopsis))
   in
   let table7_test =
-    let q = Job.pkfk_prefix_query data ~prefix:"The" in
-    let profile =
-      Csdl.Profile.of_tables q.Job.a.Join.table q.Job.a.Join.column
-        q.Job.b.Join.table q.Job.b.Join.column
-    in
-    let estimator = Csdl.Opt.prepare ~theta:0.001 profile in
-    let synopsis = Csdl.Estimator.draw estimator prng in
-    Test.make ~name:"table7/pkfk-prefix-estimate"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Csdl.Estimator.estimate ~pred_a:q.Job.a.Join.predicate
-                ~pred_b:q.Job.b.Join.predicate estimator synopsis)))
+    test "table7/pkfk-prefix-estimate" (fun () ->
+        let q = Job.pkfk_prefix_query data ~prefix:"The" in
+        let profile =
+          Csdl.Profile.of_tables q.Job.a.Join.table q.Job.a.Join.column
+            q.Job.b.Join.table q.Job.b.Join.column
+        in
+        let estimator = Csdl.Opt.prepare ~theta:0.001 profile in
+        let synopsis = Csdl.Estimator.draw estimator prng in
+        fun () ->
+          Sys.opaque_identity
+            (Csdl.Estimator.estimate ~pred_a:q.Job.a.Join.predicate
+               ~pred_b:q.Job.b.Join.predicate estimator synopsis))
   in
   let table8_test =
-    let d = Repro_datagen.Tpch.generate ~scale:0.1 ~z:4.0 ~seed:config.Config.seed in
-    let profile =
-      Csdl.Profile.of_tables d.Repro_datagen.Tpch.customer "c_nationkey"
-        d.Repro_datagen.Tpch.supplier "s_nationkey"
-    in
-    let estimator = Csdl.Opt.prepare ~theta:0.001 profile in
-    let synopsis = Csdl.Estimator.draw estimator prng in
-    Test.make ~name:"table8/skewed-tpch-estimate"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Csdl.Estimator.estimate estimator synopsis)))
+    test "table8/skewed-tpch-estimate" (fun () ->
+        let d =
+          Repro_datagen.Tpch.generate ~scale:0.1 ~z:4.0 ~seed:config.Config.seed
+        in
+        let profile =
+          Csdl.Profile.of_tables d.Repro_datagen.Tpch.customer "c_nationkey"
+            d.Repro_datagen.Tpch.supplier "s_nationkey"
+        in
+        let estimator = Csdl.Opt.prepare ~theta:0.001 profile in
+        let synopsis = Csdl.Estimator.draw estimator prng in
+        fun () -> Sys.opaque_identity (Csdl.Estimator.estimate estimator synopsis))
   in
   let table9_test =
-    let d = Repro_datagen.Tpch.generate ~scale:0.1 ~z:2.0 ~seed:config.Config.seed in
-    let tables =
-      {
-        Csdl.Chain_n.links =
-          [
-            {
-              Csdl.Chain_n.table = d.Repro_datagen.Tpch.customer;
-              pk = "c_custkey";
-              fk = None;
-            };
-            {
-              table = d.Repro_datagen.Tpch.orders;
-              pk = "o_orderkey";
-              fk = Some "o_custkey";
-            };
-          ];
-        last = d.Repro_datagen.Tpch.lineitem;
-        last_fk = "l_orderkey";
-      }
-    in
-    let predicates =
-      [ Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0) ]
-    in
-    let prepared = Csdl.Chain_n.prepare_opt ~theta:0.001 tables in
-    let synopsis = Csdl.Chain_n.draw prepared prng in
-    Test.make ~name:"table9/chain-estimate"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Csdl.Chain_n.estimate ~predicates prepared synopsis)))
+    test "table9/chain-estimate" (fun () ->
+        let d =
+          Repro_datagen.Tpch.generate ~scale:0.1 ~z:2.0 ~seed:config.Config.seed
+        in
+        let tables =
+          {
+            Csdl.Chain_n.links =
+              [
+                {
+                  Csdl.Chain_n.table = d.Repro_datagen.Tpch.customer;
+                  pk = "c_custkey";
+                  fk = None;
+                };
+                {
+                  table = d.Repro_datagen.Tpch.orders;
+                  pk = "o_orderkey";
+                  fk = Some "o_custkey";
+                };
+              ];
+            last = d.Repro_datagen.Tpch.lineitem;
+            last_fk = "l_orderkey";
+          }
+        in
+        let predicates =
+          [ Predicate.Compare (Predicate.Gt, "c_acctbal", Value.Float 8000.0) ]
+        in
+        let prepared = Csdl.Chain_n.prepare_opt ~theta:0.001 tables in
+        let synopsis = Csdl.Chain_n.draw prepared prng in
+        fun () ->
+          Sys.opaque_identity
+            (Csdl.Chain_n.estimate ~predicates prepared synopsis))
   in
-  (* The daemon's CSV reader on the generated cast_info table, written
-     once to a file removed at exit: a cache miss's read of 50 sampled
-     rows with no counted column, then the fingerprint it hashes. *)
+  (* The daemon's CSV reader on the generated cast_info table, written to
+     a file removed at exit: a cache miss's read of 50 sampled rows with
+     no counted column, then the fingerprint it hashes. *)
   let cast_info = data.Repro_datagen.Imdb.cast_info in
-  let cast_info_csv =
-    let path = Filename.temp_file "bench-cast_info" ".csv" in
-    at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
-    Csv_io.write path cast_info;
-    path
-  in
   let read_rows_test =
-    let n = Table.cardinality cast_info in
-    let rows = Array.init 50 (fun i -> i * n / 50) in
-    Test.make ~name:"load/csv-read-rows"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Csv_io.read_rows cast_info_csv ~columns:[] ~rows)))
+    test "load/csv-read-rows" (fun () ->
+        let path = Filename.temp_file "bench-cast_info" ".csv" in
+        at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
+        Csv_io.write path cast_info;
+        let n = Table.cardinality cast_info in
+        let rows = Array.init 50 (fun i -> i * n / 50) in
+        fun () -> Sys.opaque_identity (Csv_io.read_rows path ~columns:[] ~rows))
   in
   let fingerprint_test =
-    Test.make ~name:"load/table-fingerprint"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity (Table.fingerprint cast_info)))
+    test "load/table-fingerprint" (fun () () ->
+        Sys.opaque_identity (Table.fingerprint cast_info))
   in
-  (* The daemon's hit path: one flat, flattened once and estimated over
-     and over with Q1a1's filtered first side (movie_companies), at the
-     served theta. The table4-6 tests flatten on every call. Its own
-     stream, so the other tests draw what they drew without it. *)
-  let flat_dl_filtered_test =
-    let q = find_query "Q1a1" in
-    let profile =
-      Csdl.Profile.of_tables q.Job.a.Join.table q.Job.a.Join.column
-        q.Job.b.Join.table q.Job.b.Join.column
-    in
-    let estimator =
-      Csdl.Estimator.prepare ~sample_first:`A
-        (Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_diff)
-        ~theta:0.05 profile
-    in
-    let flat =
-      Csdl.Synopsis_flat.of_synopsis
-        (Csdl.Estimator.draw estimator (Prng.create (config.Config.seed + 78)))
-    in
-    Test.make ~name:"estimate/flat-dl-filtered"
-      (Staged.stage (fun () ->
-           Sys.opaque_identity
-             (Csdl.Estimate.run_checked_flat ~pred_a:q.Job.a.Join.predicate
-                ~pred_b:q.Job.b.Join.predicate flat)))
+  (* The daemon's hit path: one flat, flattened once at the served theta
+     and estimated over and over, so the learner memo answers after the
+     first call. The table4-6 tests flatten on every call. Each flat
+     draws from its own stream, so the other tests draw what they drew
+     without it. *)
+  let flat_test ~name ~query_name ~stream ~preds =
+    test name (fun () ->
+        let q = find_query query_name in
+        let profile =
+          Csdl.Profile.of_tables q.Job.a.Join.table q.Job.a.Join.column
+            q.Job.b.Join.table q.Job.b.Join.column
+        in
+        let estimator =
+          Csdl.Estimator.prepare ~sample_first:`A
+            (Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_diff)
+            ~theta:0.05 profile
+        in
+        let flat =
+          Csdl.Synopsis_flat.of_synopsis
+            (Csdl.Estimator.draw estimator
+               (Prng.create (config.Config.seed + stream)))
+        in
+        let pred_a, pred_b = preds q in
+        Format.eprintf "[bechamel %s: %d first-side values]@." name
+          (Array.length flat.Csdl.Synopsis_flat.a.Csdl.Synopsis_flat.values);
+        fun () ->
+          Sys.opaque_identity
+            (Csdl.Estimate.run_checked_flat ?pred_a ?pred_b flat))
   in
+  let join_preds q = (Some q.Job.a.Join.predicate, Some q.Job.b.Join.predicate) in
   [
     pair_estimate_test ~name:"table4/csdl-1-diff-small-jvd" ~query_name:"Q1a1"
       ~spec:(Csdl.Spec.csdl Csdl.Spec.L_one Csdl.Spec.L_diff) ~theta:0.001;
@@ -275,35 +284,44 @@ let bechamel_tests config data =
     table9_test;
     read_rows_test;
     fingerprint_test;
-    flat_dl_filtered_test;
+    (* Q1a1's filtered first side (movie_companies) *)
+    flat_test ~name:"estimate/flat-dl-filtered" ~query_name:"Q1a1" ~stream:78
+      ~preds:join_preds;
+    (* Q1b3: no predicate on either side *)
+    flat_test ~name:"estimate/flat-unfiltered" ~query_name:"Q1b3" ~stream:79
+      ~preds:(fun _ -> (None, None));
+    (* Q2a1: an int comparison on title's side, as on the t_mk key *)
+    flat_test ~name:"estimate/flat-int-filter" ~query_name:"Q2a1" ~stream:80
+      ~preds:join_preds;
   ]
 
 let run_bechamel config data =
   let open Bechamel in
-  let tests = bechamel_tests config data in
-  let test = Test.make_grouped ~name:"repro" ~fmt:"%s/%s" tests in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg [ instance ] test in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false
       ~predictors:[| Measure.run |]
   in
-  let analyzed = Analyze.all ols instance raw in
+  let time (_, make) =
+    let test = Test.make_grouped ~name:"repro" ~fmt:"%s/%s" [ make () ] in
+    let analyzed = Analyze.all ols instance (Benchmark.all cfg [ instance ] test) in
+    (* the test and its data are unreachable from here on *)
+    Gc.compact ();
+    Hashtbl.fold
+      (fun name ols_result rows ->
+        let nanos =
+          match Analyze.OLS.estimates ols_result with
+          | Some (t :: _) -> Printf.sprintf "%.0f ns" t
+          | _ -> "n/a"
+        in
+        [ name; nanos ] :: rows)
+      analyzed []
+  in
+  let rows = List.concat_map time (bechamel_tests config data) in
   Format.printf "@.== Bechamel: online estimation and load cost ==@.";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let nanos =
-        match Analyze.OLS.estimates ols_result with
-        | Some (t :: _) -> Printf.sprintf "%.0f ns" t
-        | _ -> "n/a"
-      in
-      rows := [ name; nanos ] :: !rows)
-    analyzed;
-  let rows = List.sort compare !rows in
   Render.print_table ~title:"per-call time"
-    ~header:[ "benchmark"; "time/call" ] ~rows ()
+    ~header:[ "benchmark"; "time/call" ] ~rows:(List.sort compare rows) ()
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                *)

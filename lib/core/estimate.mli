@@ -19,10 +19,19 @@
     [batch], the daemon, the bake-off, the experiment grid and the drift
     sentinels all call it, so they answer the same number for the same
     synopsis and query. It operates on a {!Synopsis_flat.t}: single linear
-    passes over columnar arrays, the predicate evaluated exactly once per
-    sampled row per query, the two sides joined by precomputed index
+    passes over columnar arrays, the two sides joined by precomputed index
     position. Build the flat view once per draw or load and reuse it per
-    query. *)
+    query.
+
+    {b What a query pays for.} A side under [Predicate.True] is the view
+    the flat stored when it was built ({!Synopsis_flat.side.unfiltered}):
+    nothing is scanned or allocated for it. Any other predicate is
+    evaluated a column at a time into a pass/fail byte per sampled tuple,
+    in buffers the calling domain reuses across queries (one per nesting
+    depth of [And], [Or] and [Not]); an int comparison on an unboxed int
+    column is one branch-free range test per tuple. Counts per value and
+    sentry flags are then read off those bytes. The semantics are
+    {!Repro_relation.Predicate.compile}'s, row by row. *)
 
 open Repro_relation
 
@@ -92,7 +101,12 @@ val run_checked_flat :
     A live [obs] context wraps the run in an [estimate.run] span
     (attribute [method]), counts runs ([estimate.runs{method}]) and empty
     filtered samples ([estimate.degenerate]), and forwards to the DL/LP
-    metrics of the solves it runs. *)
+    metrics of the solves it runs. A run here is a call on a flat whose
+    verdict is [None]. The daemon passes no context and bumps the same
+    two counters itself, through cells it resolved once. *)
+
+val method_label : Spec.estimation_method -> string
+(** The [method] label of [estimate.runs]: ["scaling"] or ["dl"]. *)
 
 val value : (breakdown, Fault.error) result -> (float, Fault.error) result
 (** The answer a caller reports: the estimate, or 0 for an empty filtered

@@ -17,17 +17,17 @@ type 'a t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  obs : Obs.ctx;
+  hit_cell : Obs.Counter.t;
+  miss_cell : Obs.Counter.t;
+  eviction_cell : Obs.Counter.t;
+  size_cell : Obs.Gauge.t;
 }
 
 let create ?(obs = Obs.null) ~capacity () =
   if capacity <= 0 then
     invalid_arg "Synopsis_cache.create: capacity must be positive";
-  (* pre-declare the counters so a snapshot shows them even before any
-     lookup *)
-  Obs.count obs "synopsis_cache.hits" 0;
-  Obs.count obs "synopsis_cache.misses" 0;
-  Obs.count obs "synopsis_cache.evictions" 0;
+  (* resolving the counters declares them, so a snapshot shows them even
+     before any lookup *)
   {
     capacity;
     slots = Hashtbl.create (2 * capacity);
@@ -35,7 +35,10 @@ let create ?(obs = Obs.null) ~capacity () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    obs;
+    hit_cell = Obs.Counter.make obs "synopsis_cache.hits";
+    miss_cell = Obs.Counter.make obs "synopsis_cache.misses";
+    eviction_cell = Obs.Counter.make obs "synopsis_cache.evictions";
+    size_cell = Obs.Gauge.make obs "synopsis_cache.size";
   }
 
 let length t = Hashtbl.length t.slots
@@ -61,12 +64,12 @@ let find t key =
   match Hashtbl.find_opt t.slots key with
   | Some slot ->
       t.hits <- t.hits + 1;
-      Obs.count t.obs "synopsis_cache.hits" 1;
+      Obs.Counter.incr t.hit_cell;
       touch t slot;
       Some slot.value
   | None ->
       t.misses <- t.misses + 1;
-      Obs.count t.obs "synopsis_cache.misses" 1;
+      Obs.Counter.incr t.miss_cell;
       None
 
 (* Least-recently-used eviction by scanning for the smallest stamp. Linear
@@ -86,7 +89,7 @@ let evict_lru t =
   | Some (key, _) ->
       Hashtbl.remove t.slots key;
       t.evictions <- t.evictions + 1;
-      Obs.count t.obs "synopsis_cache.evictions" 1
+      Obs.Counter.incr t.eviction_cell
 
 let insert t key value =
   (match Hashtbl.find_opt t.slots key with
@@ -94,7 +97,7 @@ let insert t key value =
   | None -> if Hashtbl.length t.slots >= t.capacity then evict_lru t);
   t.tick <- t.tick + 1;
   Hashtbl.replace t.slots key { value; stamp = t.tick };
-  Obs.set_gauge t.obs "synopsis_cache.size" (float_of_int (length t))
+  Obs.Gauge.set t.size_cell (float_of_int (length t))
 
 let find_or_build t key build =
   match find t key with

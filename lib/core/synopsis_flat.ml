@@ -7,6 +7,8 @@ type column =
   | Floats of (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
   | Boxed of Value.t array
 
+type view = { counts : int array; sentries : bool array; tuples : int }
+
 type side = {
   schema : Schema.t;
   column : string;
@@ -18,6 +20,7 @@ type side = {
   cols : column array;
   p_v : float array;
   q_v : float array;
+  unfiltered : view;
 }
 
 type learned = { x_v : float array; virtual_sample_size : float }
@@ -40,9 +43,11 @@ let hash_counts counts =
   done;
   !h
 
+(* An unfiltered first side asks with the very array it was kept under. *)
 let compare_counts (a : int array) (b : int array) =
   let n = Array.length a in
-  if n <> Array.length b then Int.compare n (Array.length b)
+  if a == b then 0
+  else if n <> Array.length b then Int.compare n (Array.length b)
   else
     let rec from i =
       if i = n then 0
@@ -203,6 +208,15 @@ let side_of_sample (sample : Sample.t) =
     end
     else Boxed col
   in
+  (* Every tuple passes no predicate: the counts come straight off the
+     offset ranges. *)
+  let unfiltered =
+    {
+      counts = Array.init n (fun i -> row_off.(i + 1) - row_off.(i));
+      sentries = Array.map (fun r -> r >= 0) sentry;
+      tuples = n_positions;
+    }
+  in
   {
     schema = Table.schema table;
     column = sample.Sample.column;
@@ -214,6 +228,7 @@ let side_of_sample (sample : Sample.t) =
     p_v;
     q_v;
     rows;
+    unfiltered;
   }
 
 (* ---------------- structural validation ---------------- *)

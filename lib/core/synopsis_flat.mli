@@ -12,6 +12,8 @@
       domains share it read-only);
     - a precomputed B→A position map, so the estimate joins the two sides
       by index instead of a [Value.Tbl.find_opt] per value per query;
+    - each side's unfiltered view ({!side.unfiltered}), so a side under
+      no predicate is neither scanned nor allocated per query;
     - the memoized validation verdict of the synopsis, so checked
       estimation validates once per load instead of once per query;
     - one bounded memo ({!t.dl_memo}) of the discrete learner's output
@@ -48,6 +50,13 @@ type column =
   | Floats of (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
   | Boxed of Value.t array
 
+(** One side's tuples under a predicate, per position of its [values]. *)
+type view = {
+  counts : int array;  (** passing non-sentry tuples per value *)
+  sentries : bool array;  (** the value's sentry exists and passes *)
+  tuples : int;  (** all passing tuples, sentries included *)
+}
+
 type side = {
   schema : Schema.t;
       (** the base table's schema: predicates name columns through it *)
@@ -74,6 +83,13 @@ type side = {
           table *)
   p_v : float array;
   q_v : float array;
+  unfiltered : view;
+      (** the side under no predicate, stored once: each value's sampled
+          row count, its sentry flag, and all materialized positions as
+          the tuple total. {!Estimate.run_checked_flat} answers a
+          [Predicate.True] side with it, so such a side costs nothing
+          per request. Never written: the learner memo may keep its
+          counts as a key. *)
 }
 
 (** What the discrete learner gives on one filtered first side: plain

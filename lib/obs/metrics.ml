@@ -145,9 +145,16 @@ module Registry = struct
      logical metric is one cell regardless of call-site label order. *)
   type key = string * (string * string) list
 
-  type t = { mutex : Mutex.t; table : (key, metric) Hashtbl.t }
+  type t = {
+    mutex : Mutex.t;
+    table : (key, metric) Hashtbl.t;
+    lookups : int Atomic.t;
+  }
 
-  let create () = { mutex = Mutex.create (); table = Hashtbl.create 64 }
+  let create () =
+    { mutex = Mutex.create (); table = Hashtbl.create 64; lookups = Atomic.make 0 }
+
+  let lookups t = Atomic.get t.lookups
 
   let canonical labels =
     List.sort (fun (a, _) (b, _) -> String.compare a b) labels
@@ -159,6 +166,7 @@ module Registry = struct
 
   let get_or_create t ?(labels = []) name ~kind ~make ~cast =
     let key = (name, canonical labels) in
+    Atomic.incr t.lookups;
     Mutex.lock t.mutex;
     let metric =
       match Hashtbl.find_opt t.table key with

@@ -109,6 +109,12 @@ module Registry : sig
   val gauge : t -> ?labels:(string * string) list -> string -> Gauge.t
   val histogram : t -> ?labels:(string * string) list -> string -> Histogram.t
 
+  val lookups : t -> int
+  (** How many times {!counter}, {!gauge} and {!histogram} have looked a
+      metric up by name and labels in this registry. A hot path resolves
+      its cells once and bumps them through the returned handles, so its
+      requests leave this count unchanged. *)
+
   val snapshot : t -> (string * (string * string) list * point) list
   (** Point-in-time values of every registered metric, sorted by name then
       labels — the stable order both exporters render in. *)

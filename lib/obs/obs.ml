@@ -21,31 +21,54 @@ let create ?sink () =
 let is_live = function Null -> false | Live _ -> true
 let registry = function Null -> None | Live l -> Some l.registry
 
-let count ctx ?labels name n =
-  match ctx with
-  | Null -> ()
-  | Live l -> Metrics.Counter.add (Metrics.Registry.counter l.registry ?labels name) n
+(* Cells resolved once: [None] on the null context, so a bump there costs
+   one branch and a bump on a live one no registry lookup. *)
 
-let set_gauge ctx ?labels name v =
-  match ctx with
-  | Null -> ()
-  | Live l -> Metrics.Gauge.set (Metrics.Registry.gauge l.registry ?labels name) v
+module Counter = struct
+  type t = Metrics.Counter.t option
+
+  let make ctx ?labels name =
+    match ctx with
+    | Null -> None
+    | Live l -> Some (Metrics.Registry.counter l.registry ?labels name)
+
+  let add t n = match t with None -> () | Some c -> Metrics.Counter.add c n
+  let incr t = add t 1
+end
+
+module Gauge = struct
+  type t = Metrics.Gauge.t option
+
+  let make ctx ?labels name =
+    match ctx with
+    | Null -> None
+    | Live l -> Some (Metrics.Registry.gauge l.registry ?labels name)
+
+  let set t v = match t with None -> () | Some g -> Metrics.Gauge.set g v
+end
+
+module Histogram = struct
+  type t = Metrics.Histogram.t option
+
+  let make ctx ?labels name =
+    match ctx with
+    | Null -> None
+    | Live l -> Some (Metrics.Registry.histogram l.registry ?labels name)
+
+  let observe t v =
+    match t with None -> () | Some h -> Metrics.Histogram.observe h v
+
+  let observe_exemplar t ~id v =
+    match t with
+    | None -> ()
+    | Some h -> Metrics.Histogram.observe_exemplar h ~id v
+end
+
+let count ctx ?labels name n = Counter.add (Counter.make ctx ?labels name) n
+let set_gauge ctx ?labels name v = Gauge.set (Gauge.make ctx ?labels name) v
 
 let observe ctx ?labels name v =
-  match ctx with
-  | Null -> ()
-  | Live l ->
-      Metrics.Histogram.observe
-        (Metrics.Registry.histogram l.registry ?labels name)
-        v
-
-let observe_exemplar ctx ?labels name ~id v =
-  match ctx with
-  | Null -> ()
-  | Live l ->
-      Metrics.Histogram.observe_exemplar
-        (Metrics.Registry.histogram l.registry ?labels name)
-        ~id v
+  Histogram.observe (Histogram.make ctx ?labels name) v
 
 (* Runtime health gauges, refreshed on demand (the server calls this on
    every [metrics] verb): [Gc.quick_stat] reads counters without forcing
@@ -81,14 +104,32 @@ module Span = struct
   let current : int option ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref None)
 
-  let with_ ctx ~name ?(attrs = []) f =
+  type t =
+    | Off
+    | On of { live : live; name : string; seconds : Metrics.Histogram.t }
+
+  let make ctx ~name =
     match ctx with
-    | Null -> f ()
-    | Live l -> (
+    | Null -> Off
+    | Live l ->
+        On
+          {
+            live = l;
+            name;
+            seconds =
+              Metrics.Registry.histogram l.registry
+                ~labels:[ ("name", name) ]
+                "span_seconds";
+          }
+
+  let run span ?(attrs = []) f =
+    match span with
+    | Off -> f ()
+    | On { live = l; name; seconds } -> (
         let start_s = Unix.gettimeofday () in
         let finish () =
           let duration_s = Float.max 0.0 (Unix.gettimeofday () -. start_s) in
-          observe ctx ~labels:[ ("name", name) ] "span_seconds" duration_s;
+          Metrics.Histogram.observe seconds duration_s;
           duration_s
         in
         match l.sink with
@@ -126,6 +167,8 @@ module Span = struct
             | exception exn ->
                 close [ ("error", Printexc.to_string exn) ];
                 raise exn))
+
+  let with_ ctx ~name ?attrs f = run (make ctx ~name) ?attrs f
 end
 
 let prometheus = function

@@ -42,13 +42,43 @@ val set_gauge : ctx -> ?labels:(string * string) list -> string -> float -> unit
 val observe : ctx -> ?labels:(string * string) list -> string -> float -> unit
 (** Record a histogram observation (get-or-create). No-op on {!null}. *)
 
-val observe_exemplar :
-  ctx -> ?labels:(string * string) list -> string -> id:string -> float -> unit
-(** {!observe}, additionally stamping the histogram's exemplar with the
-    request ID that produced the observation (see
-    {!Metrics.Histogram.observe_exemplar}). IDs belong in exemplars and
-    logs, never in labels — tools/lint_label_cardinality.sh enforces the
-    label side. *)
+(** {2 Resolved cells}
+
+    {!count}, {!set_gauge} and {!observe} look their metric up by name
+    and labels on every call, under the registry's mutex. A hot path
+    instead resolves each cell once, when it is set up, and bumps it
+    through the handle: a bump is then one atomic update, and on {!null}
+    one branch. Making a handle registers its metric, as [count ctx name
+    0] does, so it shows in snapshots before the first bump. *)
+
+module Counter : sig
+  type t
+
+  val make : ctx -> ?labels:(string * string) list -> string -> t
+  val add : t -> int -> unit
+  val incr : t -> unit
+end
+
+module Gauge : sig
+  type t
+
+  val make : ctx -> ?labels:(string * string) list -> string -> t
+  val set : t -> float -> unit
+end
+
+module Histogram : sig
+  type t
+
+  val make : ctx -> ?labels:(string * string) list -> string -> t
+  val observe : t -> float -> unit
+
+  val observe_exemplar : t -> id:string -> float -> unit
+  (** {!observe}, additionally stamping the histogram's exemplar with the
+      request ID that produced the observation (see
+      {!Metrics.Histogram.observe_exemplar}). IDs belong in exemplars and
+      logs, never in labels — tools/lint_label_cardinality.sh enforces
+      the label side. *)
+end
 
 val record_runtime : ?domains:int -> ctx -> unit
 (** Refresh the OCaml runtime gauges from [Gc.quick_stat]:
@@ -64,6 +94,16 @@ val set_build_info : ctx -> store_version:int -> git:string -> unit
     build-info pattern, joined against other series at query time. *)
 
 module Span : sig
+  type t
+  (** A span name resolved on one context: its [span_seconds{name}]
+      histogram is looked up once, by {!make}. *)
+
+  val make : ctx -> name:string -> t
+
+  val run : t -> ?attrs:(string * string) list -> (unit -> 'a) -> 'a
+  (** {!with_} through a resolved span: the same timing, histogram
+      observation and span record, with no registry lookup. *)
+
   val with_ :
     ctx -> name:string -> ?attrs:(string * string) list -> (unit -> 'a) -> 'a
   (** [with_ ctx ~name f] times [f ()]. On a live context the duration is

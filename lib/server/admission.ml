@@ -3,7 +3,8 @@ module Obs = Repro_obs.Obs
 type policy = Reject | Drop_oldest
 
 type 'a t = {
-  obs : Obs.ctx;
+  depth_cell : Obs.Gauge.t;
+  shed_cell : Obs.Counter.t;
   policy : policy;
   capacity : int;
   mutex : Mutex.t;
@@ -15,10 +16,14 @@ type 'a t = {
 let policy_label = function Reject -> "reject" | Drop_oldest -> "drop_oldest"
 
 let create ?(obs = Obs.null) ~policy ~capacity () =
-  Obs.set_gauge obs "server.queue.depth" 0.0;
-  Obs.count obs ~labels:[ ("policy", policy_label policy) ] "server.queue.shed" 0;
+  let depth_cell = Obs.Gauge.make obs "server.queue.depth" in
+  Obs.Gauge.set depth_cell 0.0;
   {
-    obs;
+    depth_cell;
+    shed_cell =
+      Obs.Counter.make obs
+        ~labels:[ ("policy", policy_label policy) ]
+        "server.queue.shed";
     policy;
     capacity = max 1 capacity;
     mutex = Mutex.create ();
@@ -53,14 +58,11 @@ let offer t item =
   in
   (match result with
   | Admitted | Displaced _ ->
-      Obs.set_gauge t.obs "server.queue.depth"
+      Obs.Gauge.set t.depth_cell
         (float_of_int (locked t (fun () -> Queue.length t.items)))
   | Rejected | Closed -> ());
   (match result with
-  | Rejected | Displaced _ ->
-      Obs.count t.obs
-        ~labels:[ ("policy", policy_label t.policy) ]
-        "server.queue.shed" 1
+  | Rejected | Displaced _ -> Obs.Counter.incr t.shed_cell
   | Admitted | Closed -> ());
   result
 
@@ -78,7 +80,7 @@ let take t =
         wait ())
   in
   if item <> None then
-    Obs.set_gauge t.obs "server.queue.depth"
+    Obs.Gauge.set t.depth_cell
       (float_of_int (locked t (fun () -> Queue.length t.items)));
   item
 

@@ -40,9 +40,53 @@ type drift = {
   d_fault : Fault.error option;
 }
 
+(* The metric cells a request bumps, resolved once at [create]: a
+   cache-hit request looks up no metric by name. The estimate counters
+   carry the names and labels [Csdl.Estimate] bumps when given a live
+   context, which the engine does not give it per request. *)
+type cells = {
+  request_span : Obs.Span.t;
+  requests : Obs.Counter.t;
+  outcomes : Obs.Counter.t array;  (** indexed by [outcome_index] *)
+  request_seconds : Obs.Histogram.t;
+  loads : Obs.Counter.t;
+  chaos_fail : Obs.Counter.t;
+  chaos_corrupt : Obs.Counter.t;
+  runs_scaling : Obs.Counter.t;
+  runs_dl : Obs.Counter.t;
+  degenerate : Obs.Counter.t;
+}
+
+let outcome_classes = [| "answered"; "degraded"; "deadline_exceeded"; "err" |]
+
+let resolve_cells obs =
+  let runs meth =
+    Obs.Counter.make obs ~labels:[ ("method", meth) ] "estimate.runs"
+  in
+  let chaos mode =
+    Obs.Counter.make obs ~labels:[ ("mode", mode) ] "server.chaos.injected"
+  in
+  {
+    request_span = Obs.Span.make obs ~name:"server.request";
+    requests = Obs.Counter.make obs "server.requests.total";
+    outcomes =
+      Array.map
+        (fun cls ->
+          Obs.Counter.make obs ~labels:[ ("class", cls) ] "server.outcome")
+        outcome_classes;
+    request_seconds = Obs.Histogram.make obs "server.request.seconds";
+    loads = Obs.Counter.make obs "server.loads.total";
+    chaos_fail = chaos "fail";
+    chaos_corrupt = chaos "corrupt";
+    runs_scaling = runs (Csdl.Estimate.method_label Csdl.Spec.Scaling);
+    runs_dl = runs (Csdl.Estimate.method_label Csdl.Spec.Discrete_learning);
+    degenerate = Obs.Counter.make obs "estimate.degenerate";
+  }
+
 type t = {
   config : config;
   obs : Obs.ctx;
+  cells : cells;
   clock : Clock.t;
   sleep : Clock.sleeper;
   store_path : string;
@@ -224,21 +268,13 @@ let create ?(obs = Obs.null) ?(clock = Clock.wall) ?(sleep = Clock.sleepf)
         snapshot entries ~insert:(fun meta flat ->
             Cache.insert cache meta.m_cache_key flat)
       in
-      Obs.count obs "server.requests.total" 0;
-      List.iter
-        (fun cls -> Obs.count obs ~labels:[ ("class", cls) ] "server.outcome" 0)
-        [ "answered"; "degraded"; "deadline_exceeded"; "err" ];
-      List.iter
-        (fun mode ->
-          Obs.count obs ~labels:[ ("mode", mode) ] "server.chaos.injected" 0)
-        [ "fail"; "corrupt" ];
-      Obs.count obs "server.loads.total" 0;
       Obs.count obs "server.reloads.total" 0;
       Obs.count obs "server.drift.tripped" 0;
       let t =
         {
           config;
           obs;
+          cells = resolve_cells obs;
           clock;
           sleep;
           store_path;
@@ -289,7 +325,7 @@ let cache_insert t meta syn =
    from (seed, load sequence); a silent corruption is returned as [Ok] on
    purpose — the checked estimator, not the loader, must catch it. *)
 let load_once t key meta seq =
-  Obs.count t.obs "server.loads.total" 1;
+  Obs.Counter.incr t.cells.loads;
   match
     Result.bind
       (Csdl.Synopsis_store.read_entry ~read_rows:t.read_rows
@@ -310,17 +346,13 @@ let load_once t key meta seq =
         in
         if Prng.float prng >= t.config.chaos then Ok (flat s.synopsis)
         else if Prng.bool prng then begin
-          Obs.count t.obs
-            ~labels:[ ("mode", "fail") ]
-            "server.chaos.injected" 1;
+          Obs.Counter.incr t.cells.chaos_fail;
           Error
             (Fault.Store_mismatch
                { what = "chaos"; detail = "injected load failure for " ^ key })
         end
         else begin
-          Obs.count t.obs
-            ~labels:[ ("mode", "corrupt") ]
-            "server.chaos.injected" 1;
+          Obs.Counter.incr t.cells.chaos_corrupt;
           let fault = Fault_injection.pick prng in
           Ok (flat (Fault_injection.corrupt fault prng s.synopsis))
         end
@@ -404,11 +436,25 @@ type outcome =
   | Deadline_exceeded of Fault.error
   | Rejected of Fault.error
 
-let outcome_class = function
-  | Answered _ -> "answered"
-  | Degraded _ -> "degraded"
-  | Deadline_exceeded _ -> "deadline_exceeded"
-  | Rejected _ -> "err"
+let outcome_index = function
+  | Answered _ -> 0
+  | Degraded _ -> 1
+  | Deadline_exceeded _ -> 2
+  | Rejected _ -> 3
+
+let outcome_class outcome = outcome_classes.(outcome_index outcome)
+
+(* What [Csdl.Estimate] counts when given a live context: a run for every
+   flat that passed validation, and each empty filtered sample. *)
+let count_estimate cells (flat : Csdl.Synopsis_flat.t) result =
+  if Option.is_none flat.verdict then
+    Obs.Counter.incr
+      (match flat.resolved.Csdl.Budget.spec.Csdl.Spec.method_ with
+      | Csdl.Spec.Scaling -> cells.runs_scaling
+      | Csdl.Spec.Discrete_learning -> cells.runs_dl);
+  match result with
+  | Error (Fault.Empty_filtered_sample _) -> Obs.Counter.incr cells.degenerate
+  | _ -> ()
 
 let degrade meta ~rung fault =
   Degraded { value = meta.m_prior; trace = [ { Fault.rung; fault } ] }
@@ -420,9 +466,9 @@ let handle_meta t ~deadline ~key ?rid ?pred_a ?pred_b meta =
     ("key", key)
     :: (match rid with Some r -> [ ("request_id", r) ] | None -> [])
   in
-  Obs.Span.with_ t.obs ~name:"server.request" ~attrs (fun () ->
+  Obs.Span.run t.cells.request_span ~attrs (fun () ->
       let start = t.clock () in
-      Obs.count t.obs "server.requests.total" 1;
+      Obs.Counter.incr t.cells.requests;
       let timed_out () =
         Deadline_exceeded (Deadline.fault ~what:"request" deadline)
       in
@@ -443,9 +489,11 @@ let handle_meta t ~deadline ~key ?rid ?pred_a ?pred_b meta =
                 in
                 (* the same function and the same fault-to-value rule as
                    [Store.estimate]: replies are byte-identical to batch *)
-                let result =
-                  Csdl.Estimate.(value (run_checked_flat ?pred_a:pa ?pred_b:pb syn))
+                let checked =
+                  Csdl.Estimate.run_checked_flat ?pred_a:pa ?pred_b:pb syn
                 in
+                count_estimate t.cells syn checked;
+                let result = Csdl.Estimate.value checked in
                 if Deadline.exceeded deadline then timed_out ()
                 else
                   match result with
@@ -455,13 +503,11 @@ let handle_meta t ~deadline ~key ?rid ?pred_a ?pred_b meta =
                   | Error (Fault.Bad_input _ as fault) -> Rejected fault
                   | Error fault -> degrade meta ~rung:"csdl" fault
       in
-      Obs.count t.obs
-        ~labels:[ ("class", outcome_class outcome) ]
-        "server.outcome" 1;
+      Obs.Counter.incr t.cells.outcomes.(outcome_index outcome);
       let elapsed = t.clock () -. start in
       (match rid with
-      | Some r -> Obs.observe_exemplar t.obs "server.request.seconds" ~id:r elapsed
-      | None -> Obs.observe t.obs "server.request.seconds" elapsed);
+      | Some r -> Obs.Histogram.observe_exemplar t.cells.request_seconds ~id:r elapsed
+      | None -> Obs.Histogram.observe t.cells.request_seconds elapsed);
       (outcome, { cache_hit = !cache_hit; shards = meta.m_shards }))
 
 let handle_traced t ~deadline ~key ?rid ?pred_a ?pred_b () =

@@ -131,10 +131,14 @@ let one_line s =
 let id_tag = function None -> "" | Some rid -> "id=" ^ rid ^ " "
 let err_line ?id msg = "err " ^ id_tag id ^ one_line msg
 
+(* [Printf]'s [%.17g] ends in this same primitive; calling it directly
+   skips the format interpreter and gives the same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let render_outcome ?id outcome =
   let tag = id_tag id in
   match outcome with
-  | Engine.Answered v -> Printf.sprintf "ok %s%.17g" tag v
+  | Engine.Answered v -> String.concat "" [ "ok "; tag; format_float "%.17g" v ]
   | Engine.Degraded { value; trace } ->
       Printf.sprintf "degraded %s%.17g ;; %s" tag value
         (one_line (Fault.trace_to_string trace))

@@ -139,8 +139,7 @@ let same_breakdown (b : Csdl.Estimate.breakdown) (o : Oracle.breakdown) =
   && bits b.virtual_sample_size = bits o.Oracle.virtual_sample_size
   && b.contributing_values = o.Oracle.contributing_values
 
-let check_case seed =
-  let c = draw_case seed in
+let compare_case c =
   let o = oracle c in
   let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) c.what in
   let empty side =
@@ -170,6 +169,7 @@ let check_case seed =
       | Ok _ -> fail "invalid config answered"
   end
 
+let check_case seed = compare_case (draw_case seed)
 let cases = 1500
 
 let prop_matches_oracle =
@@ -194,6 +194,249 @@ let test_generator_coverage () =
   Alcotest.(check bool)
     (Printf.sprintf "answerable empty DL inputs (%d)" !empty_input)
     true (!empty_input >= 50)
+
+(* ---------------- the mask evaluator ---------------- *)
+
+(* Sides with every column kind the flat stores: unboxed ints ([k],
+   [attr], negatives included), unboxed floats ([f]), floats with Nulls
+   and mixed numbers with Nulls (both boxed), unique tags, and strings
+   with Nulls for LIKE. The first side has 320 values, so a theta of 1
+   samples more than 256 of them. *)
+let rich_schema =
+  Schema.make
+    [
+      ("k", Schema.T_int); ("attr", Schema.T_int); ("tag", Schema.T_string);
+      ("f", Schema.T_float); ("fn", Schema.T_float); ("mixed", Schema.T_float);
+      ("sn", Schema.T_string);
+    ]
+
+let words = [| "alpha"; "beta"; "alphabet"; "gamma"; "" |]
+
+let rich_table counts =
+  Table.of_rows rich_schema
+    (List.concat_map
+       (fun (v, m) ->
+         List.init m (fun i ->
+             [|
+               Value.Int v;
+               Value.Int ((((v * 7) + (i * 13)) mod 50) - 10);
+               Value.Str (Printf.sprintf "%d-%d" v i);
+               Value.Float ((float_of_int (v mod 17) *. 0.25) -. 1.0);
+               (if (v + i) mod 6 = 0 then Value.Null
+                else Value.Float (float_of_int i *. 1.5));
+               (if (v + i) mod 7 = 0 then Value.Null
+                else if i mod 3 = 0 then Value.Int (v mod 9)
+                else Value.Float (float_of_int (v mod 9) +. 0.5));
+               (if v * (i + 1) mod 5 = 0 then Value.Null
+                else Value.Str words.((v + i) mod 5));
+             |]))
+       counts)
+
+let rich_profile =
+  lazy
+    (Csdl.Profile.of_tables
+       (rich_table (List.init 320 (fun i -> (i + 1, 1 + (i * 7 mod 5)))))
+       "k"
+       (rich_table
+          (List.init 200 (fun i -> ((2 * i) + 1, 1 + (i * 3 mod 4)))))
+       "k")
+
+let int_constants prng =
+  let k = Prng.int prng 360 - 20 in
+  [|
+    min_int; min_int + 1; max_int; max_int - 1; -11; -10; 0; 39; 40; 41;
+    1_000_000; k - 1; k; k + 1;
+  |]
+  |> fun a -> a.(Prng.int prng (Array.length a))
+
+let float_constants =
+  [| 0.5; -1.0; -0.75; 3.0; 1e300; -0.0; Float.nan; Float.infinity;
+     Float.neg_infinity |]
+
+let pick_array prng a = a.(Prng.int prng (Array.length a))
+
+let rich_leaf prng =
+  let op = pick prng ops in
+  let cmp col c = Predicate.Compare (op, col, c) in
+  match Prng.int prng 12 with
+  | 0 | 1 | 2 -> cmp (pick prng [ "k"; "attr" ]) (Value.Int (int_constants prng))
+  | 3 ->
+      cmp (pick prng [ "k"; "attr" ])
+        (pick prng
+           [
+             Value.Float (float_of_int (int_constants prng) +. 0.5);
+             Value.Float (pick_array prng float_constants);
+             Value.Null;
+             Value.Str "40";
+           ])
+  | 4 | 5 ->
+      cmp
+        (pick prng [ "f"; "fn"; "mixed" ])
+        (pick prng
+           [
+             Value.Float (pick_array prng float_constants);
+             Value.Int (Prng.int prng 12 - 2);
+             Value.Null;
+             Value.Str "a";
+           ])
+  | 6 ->
+      cmp (pick prng [ "sn"; "tag" ])
+        (pick prng
+           [ Value.Str (pick_array prng words); Value.Str "1-0"; Value.Int 3; Value.Null ])
+  | 7 ->
+      Predicate.Like_prefix
+        (pick prng [ "sn"; "tag"; "k"; "f"; "fn" ], pick prng [ "al"; "1"; ""; "z" ])
+  | 8 ->
+      Predicate.Like_contains
+        (pick prng [ "sn"; "tag"; "attr"; "mixed" ], pick prng [ "ph"; "-1"; ""; "q" ])
+  | 9 -> pick prng [ Predicate.True; Predicate.False ]
+  | 10 -> cmp "k" (Value.Int (1 + Prng.int prng 330))
+  | _ -> cmp "attr" (Value.Int (Prng.int prng 50 - 10))
+
+(* A predicate tree at least [min_depth] connectives deep on its left
+   spine, and at most [max_depth]. *)
+let rec rich_tree prng ~min_depth ~max_depth =
+  if max_depth = 0 || (min_depth <= 0 && Prng.int prng 3 = 0) then
+    rich_leaf prng
+  else
+    let sub () =
+      rich_tree prng ~min_depth:(min_depth - 1) ~max_depth:(max_depth - 1)
+    in
+    match Prng.int prng 3 with
+    | 0 ->
+        let a = sub () in
+        Predicate.And (a, sub ())
+    | 1 ->
+        let a = sub () in
+        Predicate.Or (a, sub ())
+    | _ -> Predicate.Not (sub ())
+
+let nesting p =
+  let rec go = function
+    | Predicate.And (a, b) | Predicate.Or (a, b) -> 1 + max (go a) (go b)
+    | Predicate.Not a -> 1 + go a
+    | _ -> 0
+  in
+  go p
+
+let rich_predicate prng sample =
+  match Prng.int prng 10 with
+  | 0 -> ("true", Predicate.True)
+  | 1 -> ("sentry-only", sentry_only prng sample)
+  | 2 ->
+      ( "unknown column",
+        Predicate.And
+          ( rich_tree prng ~min_depth:0 ~max_depth:2,
+            Predicate.Compare (pick prng ops, "nope", Value.Int 1) ) )
+  | 3 | 4 -> ("leaf", rich_leaf prng)
+  | _ -> ("tree", rich_tree prng ~min_depth:3 ~max_depth:5)
+
+let draw_rich_case seed =
+  let prng = Prng.create seed in
+  let spec = pick prng specs and theta = pick prng thetas in
+  let virtual_sample = Prng.int prng 4 <> 0 in
+  let est =
+    Csdl.Estimator.prepare ~sample_first:`A spec ~theta (Lazy.force rich_profile)
+  in
+  let synopsis = Csdl.Estimator.draw est (Prng.create (seed + 1)) in
+  let kind_a, pred_a = rich_predicate prng synopsis.Csdl.Synopsis.sample_a in
+  let kind_b, pred_b = rich_predicate prng synopsis.Csdl.Synopsis.sample_b in
+  {
+    spec;
+    theta;
+    virtual_sample;
+    pred_a;
+    pred_b;
+    flat = Csdl.Synopsis_flat.of_synopsis synopsis;
+    what =
+      Printf.sprintf "seed %d: %s theta=%g pred_a=%s (%s) pred_b=%s (%s)"
+        seed (Csdl.Spec.to_string spec) theta kind_a
+        (Predicate.to_string pred_a) kind_b (Predicate.to_string pred_b);
+  }
+
+(* The oracle refuses an unknown column with [Invalid_argument], worded
+   as [Bad_input] must be. *)
+let check_rich_case seed =
+  let c = draw_rich_case seed in
+  match oracle c with
+  | exception Invalid_argument msg -> (
+      match checked c with
+      | Error (Csdl.Fault.Bad_input m) when m = msg -> true
+      | Error f ->
+          QCheck.Test.fail_reportf "%s: expected Bad_input %S, got %s" c.what
+            msg (Csdl.Fault.error_to_string f)
+      | Ok _ -> QCheck.Test.fail_reportf "%s: answered %S" c.what msg)
+  | _ -> compare_case c
+
+let rich_cases = 800
+
+let prop_masks_match_oracle =
+  QCheck.Test.make ~count:rich_cases
+    ~name:"mask evaluator answers what the oracle's closures did"
+    QCheck.(int_bound 1_000_000_000)
+    check_rich_case
+
+let columns_of (side : Csdl.Synopsis_flat.side) =
+  Array.to_list side.Csdl.Synopsis_flat.cols
+
+(* The rich generator reaches what the property is about. *)
+let test_rich_coverage () =
+  let deep = ref 0 and wide = ref 0 and sentry_side = ref 0 in
+  let floats = ref 0 and boxed_nulls = ref 0 and unknown = ref 0 in
+  for seed = 0 to rich_cases - 1 do
+    let c = draw_rich_case seed in
+    let a = c.flat.Csdl.Synopsis_flat.a and b = c.flat.Csdl.Synopsis_flat.b in
+    let answered, evidence =
+      match oracle c with
+      | o -> (true, o.Oracle.filtered_a_tuples > 0 && o.Oracle.filtered_b_tuples > 0)
+      | exception Invalid_argument _ -> (false, false)
+    in
+    if evidence && max (nesting c.pred_a) (nesting c.pred_b) >= 3 then incr deep;
+    if Array.length a.Csdl.Synopsis_flat.values > 256 then incr wide;
+    if
+      Array.length a.Csdl.Synopsis_flat.values > 0
+      && Bigarray.Array1.dim a.Csdl.Synopsis_flat.rows = 0
+    then incr sentry_side;
+    if not answered then incr unknown;
+    List.iter
+      (function
+        | Csdl.Synopsis_flat.Floats _ -> incr floats
+        | Csdl.Synopsis_flat.Boxed col ->
+            if Array.exists (fun v -> v = Value.Null) col then incr boxed_nulls
+        | Csdl.Synopsis_flat.Ints _ -> ())
+      (columns_of a @ columns_of b)
+  done;
+  List.iter
+    (fun (what, n, least) ->
+      Alcotest.(check bool) (Printf.sprintf "%s (%d)" what !n) true (!n >= least))
+    [
+      ("trees three deep over evidence on both sides", deep, 100);
+      ("first sides over 256 values", wide, 50);
+      ("first sides of sentries only", sentry_side, 20);
+      ("Floats columns", floats, 200);
+      ("boxed columns holding Nulls", boxed_nulls, 200);
+      ("unknown columns", unknown, 50);
+    ]
+
+(* Each flat side keeps the view a [True] scan gives, and the one a scan
+   of a predicate passing every tuple gives. *)
+let test_unfiltered_view () =
+  let same what (v : Csdl.Synopsis_flat.view) (o : Oracle.filtered_side) =
+    Alcotest.(check (array int)) (what ^ ": counts") o.Oracle.counts v.counts;
+    Alcotest.(check (array bool)) (what ^ ": sentries") o.Oracle.sentries
+      v.sentries;
+    Alcotest.(check int) (what ^ ": tuples") o.Oracle.tuples v.tuples
+  in
+  for seed = 0 to 99 do
+    let c = if seed mod 2 = 0 then draw_case seed else draw_rich_case seed in
+    List.iter
+      (fun (name, (side : Csdl.Synopsis_flat.side)) ->
+        let what = Printf.sprintf "%s, side %s" c.what name in
+        same what side.unfiltered (Oracle.filter_side side Predicate.True);
+        same (what ^ ", Not False") side.unfiltered
+          (Oracle.filter_side side (Predicate.Not Predicate.False)))
+      [ ("A", c.flat.Csdl.Synopsis_flat.a); ("B", c.flat.Csdl.Synopsis_flat.b) ]
+  done
 
 (* ---------------- the per-flat learner memo ---------------- *)
 
@@ -588,6 +831,15 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 17 |])
             prop_matches_oracle;
+        ] );
+      ( "masks",
+        [
+          Alcotest.test_case "generator coverage" `Quick test_rich_coverage;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 26 |])
+            prop_masks_match_oracle;
+          Alcotest.test_case "the stored unfiltered view is a True scan"
+            `Quick test_unfiltered_view;
         ] );
       ( "slot",
         [

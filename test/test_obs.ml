@@ -635,7 +635,9 @@ let test_histogram_exemplar () =
   (* exemplars never surface in rendered output — IDs stay out of the
      metric namespace *)
   let obs = Obs.create () in
-  Obs.observe_exemplar obs "req.seconds" ~id:"rq-9" 0.125;
+  Obs.Histogram.observe_exemplar
+    (Obs.Histogram.make obs "req.seconds")
+    ~id:"rq-9" 0.125;
   let body = Option.value ~default:"" (Obs.prometheus obs) in
   Alcotest.(check bool) "rendered" true
     (contains_sub body "req_seconds");
@@ -660,6 +662,65 @@ let test_null_is_inert () =
     (Option.is_none (Obs.prometheus Obs.null));
   Obs.close Obs.null
 
+(* ---------------- resolved cells ---------------- *)
+
+(* Handles bump the cells [count]/[observe]/[Span.with_] name, and after
+   they are made, bumping them looks nothing up; on the null context they
+   do nothing. *)
+let test_resolved_cells () =
+  let sink = Trace.memory () in
+  let obs = Obs.create ~sink () in
+  let registry = Option.get (Obs.registry obs) in
+  let labels = [ ("class", "x") ] in
+  let c = Obs.Counter.make obs ~labels "cells.c" in
+  let g = Obs.Gauge.make obs "cells.g" in
+  let h = Obs.Histogram.make obs "cells.h" in
+  let span = Obs.Span.make obs ~name:"cells.s" in
+  Alcotest.(check int) "declared at make" 0 (counter_value "cells.c" ~labels obs);
+  let lookups = Metrics.Registry.lookups registry in
+  Obs.Counter.add c 2;
+  Obs.Counter.incr c;
+  Obs.Gauge.set g 1.5;
+  Obs.Histogram.observe h 0.25;
+  Obs.Histogram.observe_exemplar h ~id:"r1" 0.5;
+  Alcotest.(check int) "run returns f's value" 7
+    (Obs.Span.run span ~attrs:[ ("key", "v") ] (fun () -> 7));
+  Alcotest.(check int) "no lookups through handles" lookups
+    (Metrics.Registry.lookups registry);
+  Obs.count obs ~labels "cells.c" 1;
+  Alcotest.(check int) "one lookup by name" (lookups + 1)
+    (Metrics.Registry.lookups registry);
+  Alcotest.(check int) "handle and name share a cell" 4
+    (counter_value "cells.c" ~labels obs);
+  let snapshot = Metrics.Registry.snapshot registry in
+  (match find_point "cells.g" [] snapshot with
+  | Metrics.P_gauge v -> Alcotest.(check (float 0.0)) "gauge" 1.5 v
+  | _ -> Alcotest.fail "cells.g is not a gauge");
+  (match find_point "cells.h" [] snapshot with
+  | Metrics.P_histogram { count; sum; _ } ->
+      Alcotest.(check int) "histogram count" 2 count;
+      Alcotest.(check (float 0.0)) "histogram sum" 0.75 sum
+  | _ -> Alcotest.fail "cells.h is not a histogram");
+  Alcotest.(check (option (pair string (float 0.0)))) "exemplar"
+    (Some ("r1", 0.5))
+    (Metrics.Histogram.exemplar (Metrics.Registry.histogram registry "cells.h"));
+  (match find_point "span_seconds" [ ("name", "cells.s") ] snapshot with
+  | Metrics.P_histogram { count; _ } ->
+      Alcotest.(check int) "span observed" 1 count
+  | _ -> Alcotest.fail "span_seconds is not a histogram");
+  (match Trace.spans sink with
+  | [ s ] ->
+      Alcotest.(check string) "span name" "cells.s" s.Trace.name;
+      Alcotest.(check (list (pair string string))) "span attrs"
+        [ ("key", "v") ] s.Trace.attrs
+  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans));
+  let c = Obs.Counter.make Obs.null "cells.c" in
+  Obs.Counter.incr c;
+  Obs.Gauge.set (Obs.Gauge.make Obs.null "cells.g") 1.0;
+  Obs.Histogram.observe (Obs.Histogram.make Obs.null "cells.h") 1.0;
+  Alcotest.(check int) "null span runs f" 3
+    (Obs.Span.run (Obs.Span.make Obs.null ~name:"s") (fun () -> 3))
+
 let () =
   Alcotest.run "repro_obs"
     [
@@ -678,6 +739,7 @@ let () =
           Alcotest.test_case "quantile clamp bucket" `Quick
             test_histogram_quantile_clamp_bucket;
           Alcotest.test_case "kind mismatch" `Quick test_registry_kind_mismatch;
+          Alcotest.test_case "resolved cells" `Quick test_resolved_cells;
         ] );
       ( "spans",
         [

@@ -546,6 +546,38 @@ let test_protocol_reply_id_roundtrip () =
   | Ok (Protocol.Estimate { key = "k1"; id = Some "rq.1"; _ }) -> ()
   | _ -> Alcotest.fail "request id round trip"
 
+(* An ok reply's bytes are Printf's [%.17g], bit pattern by bit pattern:
+   random doubles (every exponent, NaN payloads and subnormals among
+   them) and the edge values, with and without an id. *)
+let prop_ok_bytes_are_printf =
+  let edges =
+    [
+      Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0;
+      Float.min_float; 4.9e-324; -4.9e-324; 2.2250738585072009e-308;
+      Float.max_float; 9007199254740993.0; 1e17; 1e16; 0.1; 578.09792186905838;
+    ]
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map Int64.float_of_bits ui64;
+          oneofl edges;
+          map (fun k -> Float.ldexp 1.0 k) (int_range (-1074) 1023);
+        ])
+  in
+  QCheck.Test.make ~count:5000 ~name:"ok reply bytes equal Printf %.17g"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun v ->
+      List.for_all
+        (fun id ->
+          let tag = match id with None -> "" | Some r -> "id=" ^ r ^ " " in
+          let want = Printf.sprintf "ok %s%.17g" tag v in
+          let got = Protocol.render_outcome ?id (Engine.Answered v) in
+          got = want
+          || QCheck.Test.fail_reportf "%h: %S, Printf gives %S" v got want)
+        [ None; Some "rq.1" ])
+
 let test_request_ctx () =
   let module Ctx = Repro_obs.Request_ctx in
   Alcotest.(check bool) "valid" true (Ctx.is_valid_id "a-B.9_c:0");
@@ -1085,6 +1117,269 @@ let test_engine_answers_sentry_only_as_batch () =
   check ~what:"sentry-only first side" ~key:"a-b" "a" "b" ordinary
     ~pred_a:sentries_only
 
+(* ---------------- request telemetry ---------------- *)
+
+(* What a request through the engine bumps is resolved at create, so
+   the tests below pin what that must keep: the span, the names a scrape
+   reads, no lookup by name per request, and the estimate counters. *)
+
+let registry_exn obs =
+  match Obs.registry obs with
+  | Some registry -> registry
+  | None -> Alcotest.fail "live obs expected"
+
+let requests_for_telemetry =
+  let lt k = Some (Predicate.Compare (Predicate.Lt, "attr", Value.Int k)) in
+  [
+    ("a-b", None, None);
+    ("a-b", lt 3, None);
+    ("pk-fk", None, lt 1);
+    ("a-b", Some Predicate.False, None);
+    ("pk-fk", None, Some Predicate.False);
+    ("a-b", Some (Predicate.Compare (Predicate.Lt, "nope", Value.Int 3)), None);
+    ("pk-fk", lt 2, lt 5);
+  ]
+
+(* One [server.request] span per estimate, carrying its key and request
+   id: [repro_cli trace report --access-log] joins on that id. Through
+   the engine, and through a live daemon whose replies echo the ids. *)
+let test_request_span_per_estimate () =
+  with_store (fun _ path ->
+      let sink = Repro_obs.Trace.memory () in
+      let obs = Obs.create ~sink () in
+      let engine = engine_exn ~obs Engine.default_config path in
+      List.iteri
+        (fun i (key, pred_a, pred_b) ->
+          let rid = if i = 2 then None else Some (Printf.sprintf "rq-%d" i) in
+          ignore
+            (Engine.handle_traced engine ~deadline:(far_deadline Clock.wall)
+               ~key ?rid ?pred_a ?pred_b ()))
+        requests_for_telemetry;
+      let spans =
+        List.filter
+          (fun (s : Repro_obs.Trace.span) -> s.name = "server.request")
+          (Repro_obs.Trace.spans sink)
+      in
+      Alcotest.(check int) "one span per estimate"
+        (List.length requests_for_telemetry)
+        (List.length spans);
+      List.iteri
+        (fun i (key, _, _) ->
+          let want =
+            ("key", key)
+            ::
+            (if i = 2 then [] else [ ("request_id", Printf.sprintf "rq-%d" i) ])
+          in
+          let attrs = (List.nth spans i).Repro_obs.Trace.attrs in
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "span %d attributes" i)
+            want attrs)
+        requests_for_telemetry;
+      let registry = registry_exn obs in
+      let seconds =
+        Metrics.Registry.histogram registry
+          ~labels:[ ("name", "server.request") ]
+          "span_seconds"
+      in
+      Alcotest.(check int) "span_seconds observed per estimate"
+        (List.length requests_for_telemetry)
+        (Metrics.Histogram.count seconds));
+  with_store (fun _ path ->
+      let sink = Repro_obs.Trace.memory () in
+      let obs = Obs.create ~sink () in
+      let engine = engine_exn ~obs Engine.default_config path in
+      let config =
+        { (Server.default_config ~port:0) with jobs = 2; default_deadline_s = 30.0 }
+      in
+      let srv = Server.create ~obs config engine in
+      let port = Server.port srv in
+      let domain = Domain.spawn (fun () -> Server.serve srv) in
+      let ids =
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop srv;
+            Domain.join domain)
+          (fun () ->
+            let c = Client.connect ~host:"127.0.0.1" ~port () in
+            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+            List.map
+              (fun (id, key) ->
+                match Client.estimate_full c ?id ~key () with
+                | Ok (Some rid, _) -> (rid, key)
+                | Ok (None, _) -> Alcotest.fail "reply without an id"
+                | Error e -> Alcotest.failf "estimate: %s" e)
+              [ (Some "cli-1", "a-b"); (None, "pk-fk"); (Some "cli-3", "pk-fk") ])
+      in
+      let spans =
+        List.filter_map
+          (fun (s : Repro_obs.Trace.span) ->
+            if s.name = "server.request" then
+              Some
+                ( List.assoc "request_id" s.attrs,
+                  List.assoc "key" s.attrs )
+            else None)
+          (Repro_obs.Trace.spans sink)
+      in
+      Alcotest.(check (list (pair string string)))
+        "daemon spans carry each reply's id and key"
+        (List.sort compare ids) (List.sort compare spans))
+
+(* perfbench keys a scrape by everything before a line's last space. *)
+let scrape body =
+  String.split_on_char '\n' body
+  |> List.filter_map (fun line ->
+         if line = "" || line.[0] = '#' then None
+         else
+           Option.map
+             (fun i ->
+               ( String.sub line 0 i,
+                 float_of_string (String.sub line (i + 1) (String.length line - i - 1)) ))
+             (String.rindex_opt line ' '))
+
+(* Every series perfbench reads off the daemon's [metrics] verb, under
+   the same name and labels, after hits, misses and evictions. *)
+let test_scraped_names_survive () =
+  with_store (fun _ path ->
+      let obs = Obs.create () in
+      let engine =
+        engine_exn ~obs { Engine.default_config with cache_capacity = 1 } path
+      in
+      let config =
+        { (Server.default_config ~port:0) with jobs = 1; default_deadline_s = 30.0 }
+      in
+      let srv = Server.create ~obs config engine in
+      let port = Server.port srv in
+      let domain = Domain.spawn (fun () -> Server.serve srv) in
+      let body =
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop srv;
+            Domain.join domain)
+          (fun () ->
+            let c = Client.connect ~host:"127.0.0.1" ~port () in
+            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+            List.iter
+              (fun key ->
+                match Client.estimate c ~key () with
+                | Ok (Protocol.R_ok _) -> ()
+                | _ -> Alcotest.failf "%s: expected R_ok" key)
+              [ "a-b"; "a-b"; "pk-fk"; "pk-fk"; "a-b" ];
+            match Client.metrics c with
+            | Ok body -> body
+            | Error e -> Alcotest.failf "metrics: %s" e)
+      in
+      let series = scrape body in
+      let value name =
+        match List.assoc_opt name series with
+        | Some v -> v
+        | None -> Alcotest.failf "no series %s in the scrape" name
+      in
+      Alcotest.(check (float 0.0)) "server_requests_total" 5.0
+        (value "server_requests_total");
+      Alcotest.(check (float 0.0)) "synopsis_cache_hits" 2.0
+        (value "synopsis_cache_hits");
+      (* a miss checks the cache again inside its single flight *)
+      Alcotest.(check (float 0.0)) "synopsis_cache_misses" 6.0
+        (value "synopsis_cache_misses");
+      Alcotest.(check bool) "synopsis_cache_evictions" true
+        (value "synopsis_cache_evictions" >= 3.0);
+      Alcotest.(check (float 0.0)) "server_loads_total" 3.0
+        (value "server_loads_total");
+      Alcotest.(check bool) "server_request_seconds_sum" true
+        (value "server_request_seconds_sum" > 0.0);
+      Alcotest.(check (float 0.0)) "server_request_seconds_count" 5.0
+        (value "server_request_seconds_count");
+      let prefix = "server_request_seconds_bucket{le=\"" in
+      Alcotest.(check bool) "server_request_seconds_bucket{le=...}" true
+        (List.exists
+           (fun (name, v) -> String.starts_with ~prefix name && v > 0.0)
+           series);
+      List.iter
+        (fun name -> ignore (value name : float))
+        [
+          "runtime_gc_minor_collections";
+          "runtime_gc_major_collections";
+          "runtime_gc_heap_words";
+        ])
+
+(* Cache hits through [Engine.handle] look up no metric by name: every
+   cell they bump was resolved at create. *)
+let test_hits_look_up_no_metric () =
+  with_store (fun _ path ->
+      let obs = Obs.create ~sink:(Repro_obs.Trace.memory ()) () in
+      let engine = engine_exn ~obs Engine.default_config path in
+      let registry = registry_exn obs in
+      let hits () = (Engine.cache_stats engine).Csdl.Synopsis_cache.s_hits in
+      let lookups = Metrics.Registry.lookups registry and hits0 = hits () in
+      let requests = Array.of_list requests_for_telemetry in
+      for i = 0 to 999 do
+        let key, pred_a, pred_b = requests.(i mod Array.length requests) in
+        let rid = if i mod 2 = 0 then Some (string_of_int i) else None in
+        ignore
+          (Engine.handle_traced engine ~deadline:(far_deadline Clock.wall) ~key
+             ?rid ?pred_a ?pred_b ())
+      done;
+      Alcotest.(check int) "1,000 cache hits" 1000 (hits () - hits0);
+      Alcotest.(check int) "no registry lookups" lookups
+        (Metrics.Registry.lookups registry))
+
+(* The engine counts its estimates under the names and labels
+   [Estimate] bumps when given a live context: a run per validated flat,
+   per method, and each empty filtered sample. *)
+let test_engine_counts_estimates () =
+  with_store (fun _ path ->
+      let obs = Obs.create () in
+      let engine = engine_exn ~obs Engine.default_config path in
+      let direct = Obs.create () in
+      let served =
+        match
+          Csdl.Synopsis_store.read_served
+            ~read_rows:(fun name -> Table.read_rows (resolve_table name))
+            ~path
+        with
+        | Ok served -> served
+        | Error f -> Alcotest.failf "read: %s" (Csdl.Fault.error_to_string f)
+      in
+      List.iter
+        (fun (key, pred_a, pred_b) ->
+          ignore
+            (Engine.handle engine ~deadline:(far_deadline Clock.wall) ~key
+               ?pred_a ?pred_b ());
+          let s =
+            List.find
+              (fun (s : Csdl.Synopsis_store.served) -> s.entry.key = key)
+              served
+          in
+          let pa, pb = if s.entry.swapped then (pred_b, pred_a) else (pred_a, pred_b) in
+          ignore
+            (Csdl.Estimate.run_checked_flat ~obs:direct ?pred_a:pa ?pred_b:pb
+               (Csdl.Synopsis_flat.of_synopsis s.entry.synopsis)))
+        requests_for_telemetry;
+      let counter obs ?labels name =
+        Metrics.Counter.value
+          (Metrics.Registry.counter (registry_exn obs) ?labels name)
+      in
+      List.iter
+        (fun (labels, name) ->
+          let what =
+            name
+            ^ String.concat ""
+                (List.map (fun (k, v) -> Printf.sprintf "{%s=%s}" k v) labels)
+          in
+          Alcotest.(check int) what (counter direct ~labels name)
+            (counter obs ~labels name))
+        [
+          ([ ("method", "dl") ], "estimate.runs");
+          ([ ("method", "scaling") ], "estimate.runs");
+          ([], "estimate.degenerate");
+        ];
+      Alcotest.(check int) "every estimate counted"
+        (List.length requests_for_telemetry)
+        (counter obs ~labels:[ ("method", "dl") ] "estimate.runs"
+        + counter obs ~labels:[ ("method", "scaling") ] "estimate.runs");
+      Alcotest.(check int) "both empty sides counted" 2
+        (counter obs "estimate.degenerate"))
+
 (* ---------------- the CSV row reader ---------------- *)
 
 (* One store over CSVs in a temp dir — a plain entry, one the estimator
@@ -1486,6 +1781,9 @@ let () =
           Alcotest.test_case "request ids round trip" `Quick
             test_protocol_reply_id_roundtrip;
           Alcotest.test_case "request-id generator" `Quick test_request_ctx;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 26 |])
+            prop_ok_bytes_are_printf;
         ] );
       ( "engine",
         [
@@ -1520,5 +1818,16 @@ let () =
             test_server_telemetry_roundtrip;
           Alcotest.test_case "reload dropping a key mid-request errs" `Quick
             test_server_reload_drops_key_mid_request;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "one server.request span per estimate" `Quick
+            test_request_span_per_estimate;
+          Alcotest.test_case "scraped names survive" `Quick
+            test_scraped_names_survive;
+          Alcotest.test_case "cache hits look up no metric" `Quick
+            test_hits_look_up_no_metric;
+          Alcotest.test_case "the engine counts its estimates" `Quick
+            test_engine_counts_estimates;
         ] );
     ]
