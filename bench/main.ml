@@ -394,8 +394,11 @@ let () =
     |> List.iter Table7.print;
   if wants options 8 then
     timed "skewed TPC-H" (fun () -> Table8.run config) |> Table8.print;
-  if wants options 9 then
-    timed "chain joins" (fun () -> Table9.run config) |> Table9.print;
+  let multi_join label experiment =
+    timed label (fun () -> Multi_join.run config experiment)
+    |> Multi_join.print experiment
+  in
+  if wants options 9 then multi_join "chain joins" Multi_join.table9;
   Option.iter
     (fun results ->
       let summaries = Timing.run config results in
@@ -407,9 +410,8 @@ let () =
   if not options.skip_ablations then begin
     timed "related-work comparison" (fun () -> Baseline_table.run config data)
     |> Baseline_table.print;
-    timed "star joins" (fun () -> Star_bench.run config) |> Star_bench.print;
-    timed "4-table chains" (fun () -> Chain4_bench.run config)
-    |> Chain4_bench.print;
+    multi_join "star joins" Multi_join.star;
+    multi_join "4-table chains" Multi_join.chain4;
     timed "ablations" (fun () -> Ablation.run_all config data)
   end;
   if not options.skip_bechamel then run_bechamel config data;

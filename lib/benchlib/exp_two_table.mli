@@ -3,12 +3,11 @@
     both space budgets, [runs] estimations per cell — the raw material of
     Tables IV, V and VI.
 
-    Execution is a two-stage fan-out on {!Repro_util.Pool}: first one task
-    per query (profile construction and exact join size, the read-only
-    state all of that query's cells share), then one task per
-    (query, theta, approach) cell. Each cell draws from its own
-    {!Repro_util.Prng.create_keyed} stream, so the results are
-    bit-identical at any [Config.jobs] setting. *)
+    Execution is a {!Grid}: first one task per query (profile
+    construction and exact join size, the read-only state all of that
+    query's cells share), then one {!Cell} per (query, theta, approach).
+    Each cell draws from its own {!Repro_util.Prng.create_keyed} stream,
+    so the results are bit-identical at any [Config.jobs] setting. *)
 
 type approach = { label : string; spec : Csdl.Spec.t }
 
@@ -17,34 +16,12 @@ val approaches : approach list
     CS2L (exact variance optimisation) and CS2L-hh (the original
     implementation's heavy-hitter approximation). *)
 
-type cell = {
-  approach : string;
-  estimates : float array;  (** one per run *)
-  median_estimate : float;  (** provenance: the reported point estimate *)
-  median_qerror : float;
-  rel_variance : float;  (** empirical Var / J^2 (Table VI's metric) *)
-  avg_sample_tuples : float;
-      (** mean synopsis size (tuples) per run — what theta actually bought *)
-  avg_wall_seconds : float;
-      (** mean online-estimation wall-clock time over ALL runs — including
-          runs that estimated 0, which the old protocol silently dropped
-          and thereby biased the mean toward successful runs *)
-  avg_cpu_seconds : float;
-      (** mean CPU time over all runs, reported alongside wall time so
-          EXPERIMENTS.md can cite the paper-comparable wall number while
-          keeping the old CPU metric for continuity *)
-  avg_offline_wall_seconds : float;
-      (** mean wall time of the offline phase (synopsis drawing) per run —
-          the other half of the paper's offline/online split *)
-  zero_runs : int;  (** how many of the runs estimated exactly 0 *)
-}
-
 type query_result = {
   name : string;
   jvd : float;
   truth : int;
   theta : float;
-  cells : cell list;
+  cells : Cell.t list;  (** one per approach, in {!approaches} order *)
 }
 
 val run :
@@ -56,8 +33,8 @@ val run :
     {!Repro_util.Clock.wall}) is injectable for tests; inject a fake
     clock only with [Config.jobs = 1], fakes are not domain-safe. *)
 
-val find_cell : context:string -> string -> cell list -> cell
-(** [find_cell ~context label cells] is the cell with approach [label];
+val find_cell : context:string -> string -> Cell.t list -> Cell.t
+(** [find_cell ~context label cells] is the cell labelled [label];
     fails with a message naming [label], [context] and the labels present
     instead of raising a bare [Not_found]. *)
 

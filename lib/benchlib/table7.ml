@@ -39,20 +39,18 @@ let run_kind (config : Config.t) data prefixes kind =
   let cs2l_hh = Csdl.Estimator.prepare (Csdl.Spec.cs2l_approx ()) ~theta profile in
   (* Three independent keyed streams, one per approach — drawn as three
      pool tasks since each stream is internally sequential. *)
-  let all_synopses =
-    Pool.map_array ~obs:config.Config.obs ~jobs
+  let drawn =
+    Pool.map ~obs:config.Config.obs ~jobs
       (fun (estimator, tag) ->
         let prng =
           Prng.create_keyed ~seed:config.Config.seed
             (Printf.sprintf "table7/%s/%s" kind_tag tag)
         in
-        Array.init config.Config.runs (fun _ ->
-            Csdl.Estimator.draw estimator prng))
-      [| (opt, "opt"); (cs2l, "cs2l"); (cs2l_hh, "cs2l_hh") |]
+        ( estimator,
+          Array.init config.Config.runs (fun _ ->
+              Csdl.Estimator.draw estimator prng) ))
+      [ (opt, "opt"); (cs2l, "cs2l"); (cs2l_hh, "cs2l_hh") ]
   in
-  let opt_synopses = all_synopses.(0)
-  and cs2l_synopses = all_synopses.(1)
-  and cs2l_hh_synopses = all_synopses.(2) in
   (* The sweep itself: one pure task per prefix. Estimation only reads the
      shared estimators and pre-drawn synopses, so points parallelise
      without perturbing each other. *)
@@ -61,27 +59,27 @@ let run_kind (config : Config.t) data prefixes kind =
       (fun (i, prefix) ->
         let q = query_of prefix in
         let truth = float_of_int (Job.true_size q) in
-        let median estimator synopses =
-          let qerrors =
-            Array.map
-              (fun synopsis ->
-                let estimate =
-                  Csdl.Estimator.estimate ~pred_a:q.Job.a.Join.predicate
-                    ~pred_b:q.Job.b.Join.predicate estimator synopsis
-                in
-                Repro_stats.Qerror.compute ~truth ~estimate)
-              synopses
-          in
-          Repro_util.Summary.median qerrors
+        (* run r of a prefix's cell estimates the r-th pre-drawn synopsis *)
+        let median (estimator, synopses) =
+          (Cell.run ~label:"" ~runs:(Array.length synopses) ~truth
+             ~draw:(Array.get synopses)
+             ~estimate:
+               (Csdl.Estimator.estimate ~pred_a:q.Job.a.Join.predicate
+                  ~pred_b:q.Job.b.Join.predicate estimator)
+             ())
+            .Cell.median_qerror
         in
-        {
-          rank = i + 1;
-          prefix;
-          truth = int_of_float truth;
-          opt_qerror = median opt opt_synopses;
-          cs2l_qerror = median cs2l cs2l_synopses;
-          cs2l_hh_qerror = median cs2l_hh cs2l_hh_synopses;
-        })
+        match List.map median drawn with
+        | [ opt_qerror; cs2l_qerror; cs2l_hh_qerror ] ->
+            {
+              rank = i + 1;
+              prefix;
+              truth = int_of_float truth;
+              opt_qerror;
+              cs2l_qerror;
+              cs2l_hh_qerror;
+            }
+        | _ -> assert false)
       (List.mapi (fun i prefix -> (i, prefix)) prefixes)
   in
   let shown_ranks =

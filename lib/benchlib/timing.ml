@@ -35,7 +35,7 @@ let run (config : Config.t) results =
        still counted in [queries_total]. *)
     let measured =
       List.filter
-        (fun c -> not (Float.is_nan c.Exp_two_table.avg_wall_seconds))
+        (fun c -> not (Float.is_nan c.Cell.mean_wall_seconds))
         cells
     in
     if Repro_obs.Obs.is_live obs then
@@ -43,13 +43,13 @@ let run (config : Config.t) results =
         (fun c ->
           let labels = [ ("approach", approach) ] in
           Repro_obs.Obs.observe obs ~labels "bench.query.wall_seconds"
-            c.Exp_two_table.avg_wall_seconds;
+            c.Cell.mean_wall_seconds;
           Repro_obs.Obs.observe obs ~labels "bench.query.cpu_seconds"
-            c.Exp_two_table.avg_cpu_seconds)
+            c.Cell.mean_cpu_seconds)
         measured;
     let n = List.length measured in
     let zero_estimate_runs =
-      List.fold_left (fun acc c -> acc + c.Exp_two_table.zero_runs) 0 cells
+      List.fold_left (fun acc c -> acc + c.Cell.zero_runs) 0 cells
     in
     if n = 0 then
       {
@@ -70,13 +70,13 @@ let run (config : Config.t) results =
       let under =
         List.length
           (List.filter
-             (fun c -> c.Exp_two_table.avg_wall_seconds < threshold_seconds)
+             (fun c -> c.Cell.mean_wall_seconds < threshold_seconds)
              measured)
       in
       {
         approach;
-        mean_wall_seconds = mean (fun c -> c.Exp_two_table.avg_wall_seconds);
-        mean_cpu_seconds = mean (fun c -> c.Exp_two_table.avg_cpu_seconds);
+        mean_wall_seconds = mean (fun c -> c.Cell.mean_wall_seconds);
+        mean_cpu_seconds = mean (fun c -> c.Cell.mean_cpu_seconds);
         fraction_under = float_of_int under /. float_of_int n;
         threshold_seconds;
         queries_measured = n;

@@ -3,13 +3,13 @@
     did the wall-clock go, which spans dominate, what is the critical
     path — without external tooling.
 
-    The reader is {e lenient}, mirroring [Csv_io.read_lenient]: malformed
-    lines are skipped and reported as located diagnostics instead of
-    sinking the whole file, so a trace truncated by a crash (typically a
-    partial final line) still yields every complete span. Non-span lines
-    the exporter interleaves (the metrics dump appended at [Obs.close])
-    are counted, not errors; unknown line types and unknown span fields
-    are ignored for forward compatibility. *)
+    The reader is {e lenient}: malformed lines are skipped and reported
+    as located diagnostics instead of sinking the whole file, so a trace
+    truncated by a crash (typically a partial final line) still yields
+    every complete span. Non-span lines the exporter interleaves (the
+    metrics dump appended at [Obs.close]) are counted, not errors;
+    unknown line types and unknown span fields are ignored for forward
+    compatibility. *)
 
 type diagnostic = {
   line : int;  (** 1-based physical line number *)

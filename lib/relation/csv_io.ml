@@ -34,10 +34,6 @@ let write path table =
           output_char oc '\n')
         table)
 
-type row_error = { line : int; reason : string }
-
-type lenient = { table : Table.t; skipped : row_error list; skipped_count : int }
-
 (* ---------------- the scanner ---------------- *)
 
 (* A domain's load state, reused across reads: the file image, then what
@@ -266,92 +262,6 @@ let cell ty s f =
         Value.Int (if v <> min_int then v else int_of_string (field_string s f))
     | Schema.T_float -> Value.Float (float_of_string (field_string s f))
     | Schema.T_string -> Value.Str (field_string s f)
-
-let type_name = function
-  | Schema.T_int -> "int"
-  | Schema.T_float -> "float"
-  | Schema.T_string -> "string"
-
-(* ---------------- schema-given readers ---------------- *)
-
-(* Record [r] as a row under [types]; all failure modes become a located
-   reason: an unterminated quote, then the arity, then the first field
-   that does not parse. *)
-let parse_record s ~arity ~types r =
-  let line = line_of s r and first = first_of s r in
-  if count_of s r < 0 then Error { line; reason = unterminated s r }
-  else if count_of s r <> arity then
-    Error { line; reason = bad_arity s r arity }
-  else
-    let row = Array.make arity Value.Null in
-    let rec fill j =
-      if j = arity then Ok row
-      else
-        match cell types.(j) s (first + j) with
-        | v ->
-            row.(j) <- v;
-            fill (j + 1)
-        | exception _ ->
-            Error
-              {
-                line;
-                reason =
-                  Printf.sprintf "line %d: bad %s field %d: %S" line
-                    (type_name types.(j)) (j + 1)
-                    (field_string s (first + j));
-              }
-    in
-    fill 0
-
-(* Shared record loop: [on_error] decides strict (stop) vs lenient
-   (skip). The header is discarded unparsed; the schema is
-   authoritative. *)
-let fold_records schema path ~on_row ~on_error =
-  Repro_util.Scratch.with_ slot @@ fun s ->
-  let n = scan_image s (load s path) in
-  if n = 0 then
-    ignore (on_error { line = 1; reason = "empty CSV file" } : bool);
-  let arity = Schema.arity schema in
-  let types = Array.init arity (Schema.type_of schema) in
-  let rec go r =
-    if r < n then
-      match parse_record s ~arity ~types r with
-      | Ok row ->
-          on_row row;
-          go (r + 1)
-      | Error e -> if on_error e then go (r + 1)
-  in
-  go 1
-
-let read_lenient schema path =
-  let rows = ref [] and skipped = ref [] in
-  fold_records schema path
-    ~on_row:(fun row -> rows := row :: !rows)
-    ~on_error:(fun e ->
-      skipped := e :: !skipped;
-      true);
-  let skipped = List.rev !skipped in
-  {
-    table = Table.create schema (Array.of_list (List.rev !rows));
-    skipped;
-    skipped_count = List.length skipped;
-  }
-
-let read_strict schema path =
-  let rows = ref [] and first_error = ref None in
-  fold_records schema path
-    ~on_row:(fun row -> rows := row :: !rows)
-    ~on_error:(fun e ->
-      first_error := Some e;
-      false);
-  match !first_error with
-  | Some e -> Error e
-  | None -> Ok (Table.create schema (Array.of_list (List.rev !rows)))
-
-let read schema path =
-  match read_strict schema path with
-  | Ok table -> table
-  | Error { reason; _ } -> failwith reason
 
 (* ---------------- schema inference ---------------- *)
 

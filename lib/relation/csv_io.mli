@@ -1,15 +1,11 @@
 (** Minimal CSV import/export so example programs can persist and reload
     generated datasets. Quoting follows RFC 4180 (double quotes, doubled
-    quote escapes); values are parsed back using the schema's column
-    types, with empty fields read as [Null].
+    quote escapes); values are parsed back under column types inferred
+    from the data, with empty fields read as [Null].
 
-    Four readers share one scanner. {!read} raises on the first malformed
-    row (historical behaviour), {!read_strict} returns it as a located
-    [Error], and {!read_lenient} skips malformed rows and reports them as
-    diagnostics — the mode a production ingest wants when one bad row must
-    not sink a load. {!read_auto} infers the schema, and {!read_rows}
-    does the same scan for a server that needs only a few rows of the
-    table (see {!Table.sampled}).
+    Two readers share one scanner. {!read_auto} infers the schema and
+    builds the table, and {!read_rows} does the same scan for a server
+    that needs only a few rows of the table (see {!Table.sampled}).
 
     The scanner reads the whole file, to end of file (a pipe or FIFO
     works), into a buffer owned by the calling domain, and splits it in
@@ -38,39 +34,9 @@
     - a quote still open at the end of its line is an error for that
       line (records never span lines). *)
 
-type row_error = {
-  line : int;  (** 1-based physical line number (the header is line 1) *)
-  reason : string;
-      (** human-readable, self-locating: includes the line number and,
-          where it applies, the 1-based field index *)
-}
-
-type lenient = {
-  table : Table.t;  (** the rows that parsed *)
-  skipped : row_error list;  (** one per malformed row, in file order *)
-  skipped_count : int;  (** [List.length skipped], for quick checks *)
-}
-
 val write : string -> Table.t -> unit
 (** [write path table] writes a header row (column names) plus one line per
     row. Raises [Sys_error] on IO failure. *)
-
-val read : Schema.t -> string -> Table.t
-(** [read schema path] parses a file written by {!write} (or any simple
-    CSV with a matching header). Raises [Failure] on malformed input or
-    arity mismatch; the message carries the offending line number and
-    field index. Prefer {!read_strict} or {!read_lenient} in code that
-    must not raise. *)
-
-val read_strict : Schema.t -> string -> (Table.t, row_error) result
-(** Like {!read} but the first malformed row comes back as [Error] instead
-    of an exception. Raises nothing but [Sys_error] on IO failure. *)
-
-val read_lenient : Schema.t -> string -> lenient
-(** Parse every well-formed row, skipping malformed ones (bad quoting,
-    wrong arity, unparseable fields) and reporting each as a {!row_error}.
-    An empty file yields an empty table with one diagnostic. Raises
-    nothing but [Sys_error] on IO failure. *)
 
 val read_auto : string -> Table.t
 (** [read_auto path] reads a CSV without a known schema: column names come

@@ -310,48 +310,6 @@ let test_int_only_fields () =
 
 let types = [| Schema.T_int; Schema.T_float; Schema.T_string |]
 
-(* the schema usually has the text's field count, so records get past the
-   arity check *)
-let schema_arb =
-  let gen =
-    let open G in
-    let* arity, text = text_gen in
-    let* arity = frequency [ (5, return arity); (1, int_range 1 5) ] in
-    let* tys = array_repeat arity (oneofa types) in
-    let columns =
-      List.init arity (fun j -> (Printf.sprintf "c%d" j, tys.(j)))
-    in
-    return (Schema.make columns, text)
-  in
-  QCheck.make
-    ~print:(fun (schema, text) ->
-      Format.asprintf "%a %S" Schema.pp schema text)
-    gen
-
-let same_lenient (l : Csv_io.lenient) (m : Csv_io.lenient) =
-  same_table l.table m.table && l.skipped = m.skipped
-  && l.skipped_count = m.skipped_count
-
-let prop_schema_readers =
-  QCheck.Test.make ~count:3000
-    ~name:"read, read_strict and read_lenient match the oracle" schema_arb
-    (fun (schema, text) ->
-      with_text text (fun path ->
-          same_outcome same_table
-            (outcome (fun () -> Csv_io.read schema path))
-            (outcome (fun () -> Oracle.Csv.read schema path))
-          && same_outcome
-               (fun a b ->
-                 match (a, b) with
-                 | Ok t, Ok u -> same_table t u
-                 | Error e, Error f -> e = f
-                 | _ -> false)
-               (outcome (fun () -> Csv_io.read_strict schema path))
-               (outcome (fun () -> Oracle.Csv.read_strict schema path))
-          && same_outcome same_lenient
-               (outcome (fun () -> Csv_io.read_lenient schema path))
-               (outcome (fun () -> Oracle.Csv.read_lenient schema path))))
-
 let test_missing_file () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ()) "repro-load-absent.csv"
@@ -455,10 +413,9 @@ let prop_read_rows =
 (* Scanner edge cases against the oracle                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Every reader on [text] against the oracle: [read_auto]; [read_rows] of
-   every row (and one past the end) with every header column counted;
-   [read], [read_strict] and [read_lenient] under the schema the oracle
-   infers, or under two columns, int then string, when it fails. *)
+(* Both readers on [text] against the oracle: [read_auto], and
+   [read_rows] of every row (and one past the end) with every header
+   column counted. *)
 let check_readers name text =
   with_text text (fun path ->
       let check what ok =
@@ -469,34 +426,18 @@ let check_readers name text =
         (same_outcome same_table
            (outcome (fun () -> Csv_io.read_auto path))
            expected);
-      let schema, columns, rows =
+      let columns, rows =
         match expected with
         | Ok t ->
-            ( Table.schema t,
-              List.map fst (Schema.columns (Table.schema t)),
+            ( List.map fst (Schema.columns (Table.schema t)),
               Array.init (Table.cardinality t + 1) Fun.id )
-        | Error _ ->
-            ( Schema.make [ ("c0", Schema.T_int); ("c1", Schema.T_string) ],
-              [],
-              [| 0 |] )
+        | Error _ -> ([], [| 0 |])
       in
       check "read_rows"
         (same_outcome same_sampled
            (outcome (fun () -> Csv_io.read_rows path ~columns ~rows))
            (outcome (fun () ->
-                sampled_of Oracle.Csv.read_auto path ~columns ~rows)));
-      check "read"
-        (same_outcome same_table
-           (outcome (fun () -> Csv_io.read schema path))
-           (outcome (fun () -> Oracle.Csv.read schema path)));
-      check "read_strict"
-        (Csv_io.read_strict schema path |> Result.map Table.fingerprint
-        = (Oracle.Csv.read_strict schema path
-          |> Result.map Oracle.Fingerprint.fingerprint));
-      check "read_lenient"
-        (same_lenient
-           (Csv_io.read_lenient schema path)
-           (Oracle.Csv.read_lenient schema path)))
+                sampled_of Oracle.Csv.read_auto path ~columns ~rows))))
 
 (* The quote of the last line's second field never closes, with and
    without a final newline. Each text is read right after a longer one
@@ -879,7 +820,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_read_auto;
-            prop_schema_readers;
             prop_fingerprint;
             prop_distinct_count;
             prop_checksum;

@@ -354,7 +354,7 @@ let test_csv_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Csv_io.write path t;
-      let back = Csv_io.read schema_ab path in
+      let back = Csv_io.read_auto path in
       Alcotest.(check int) "rows" 4 (Table.cardinality back);
       Alcotest.(check string) "comma field" "with,comma"
         (Value.to_string (Table.row back 1).(1));
@@ -413,20 +413,6 @@ let test_csv_read_auto_widen_to_string () =
       Alcotest.(check bool) "widened to string" true
         (Schema.type_of schema 0 = Schema.T_string))
 
-let test_csv_bad_field () =
-  let path = Filename.temp_file "repro" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "a,b\nnot_an_int,x\n";
-      close_out oc;
-      match Csv_io.read schema_ab path with
-      | exception Failure msg ->
-          Alcotest.(check bool) "mentions line" true
-            (String.length msg > 0 && String.sub msg 0 4 = "line")
-      | _ -> Alcotest.fail "expected Failure")
-
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -440,40 +426,15 @@ let test_csv_unterminated_quote_located () =
       let oc = open_out path in
       output_string oc "a,b\n1,\"oops\n";
       close_out oc;
-      (match Csv_io.read schema_ab path with
+      match Csv_io.read_auto path with
       | exception Failure msg ->
           Alcotest.(check bool) "names line 2" true (contains msg "line 2");
           Alcotest.(check bool) "names field 2" true (contains msg "field 2");
           Alcotest.(check bool) "says unterminated" true
-            (contains msg "unterminated quote")
-      | _ -> Alcotest.fail "expected Failure");
-      match Csv_io.read_strict schema_ab path with
-      | Error { Csv_io.line; reason } ->
-          Alcotest.(check int) "error line" 2 line;
-          Alcotest.(check bool) "reason located" true
-            (contains reason "unterminated quote")
-      | Ok _ -> Alcotest.fail "expected Error")
-
-let test_csv_read_lenient_skips_bad_rows () =
-  let path = Filename.temp_file "repro" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      (* line 2 ok, 3 bad int, 4 wrong arity, 5 unterminated quote, 6 ok *)
-      output_string oc "a,b\n1,x\nnot_an_int,y\n7\n8,\"oops\n9,z\n";
-      close_out oc;
-      let { Csv_io.table; skipped; skipped_count } =
-        Csv_io.read_lenient schema_ab path
-      in
-      Alcotest.(check int) "kept rows" 2 (Table.cardinality table);
-      Alcotest.(check int) "skip counter" 3 skipped_count;
-      Alcotest.(check (list int)) "skipped lines" [ 3; 4; 5 ]
-        (List.map (fun e -> e.Csv_io.line) skipped);
-      (* strict mode reports the first of the same errors *)
-      match Csv_io.read_strict schema_ab path with
-      | Error { Csv_io.line; _ } -> Alcotest.(check int) "first error" 3 line
-      | Ok _ -> Alcotest.fail "expected Error")
+            (contains msg "unterminated quote");
+          Alcotest.(check string) "reason located"
+            "line 2: unterminated quote in field 2" msg
+      | _ -> Alcotest.fail "expected Failure")
 
 let test_csv_strict_ok_roundtrip () =
   let t =
@@ -485,9 +446,8 @@ let test_csv_strict_ok_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Csv_io.write path t;
-      match Csv_io.read_strict schema_ab path with
-      | Ok back -> Alcotest.(check int) "rows" 2 (Table.cardinality back)
-      | Error { Csv_io.reason; _ } -> Alcotest.failf "unexpected: %s" reason)
+      let back = Csv_io.read_auto path in
+      Alcotest.(check int) "rows" 2 (Table.cardinality back))
 
 (* ------------------------------------------------------------------ *)
 (* Predicate parser                                                    *)
@@ -560,78 +520,6 @@ let test_parser_parsed_predicates_evaluate () =
   Alcotest.(check int) "a = 1" 2 (sel "a = 1");
   Alcotest.(check int) "disjunction" 3 (sel "a = 1 OR b = 'y'");
   Alcotest.(check int) "like prefix" 1 (sel "b LIKE 'y%'")
-
-(* ------------------------------------------------------------------ *)
-(* Aggregate                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let agg_schema =
-  Schema.make
-    [ ("grp", Schema.T_int); ("v", Schema.T_int); ("w", Schema.T_float) ]
-
-let agg_table =
-  Table.of_rows agg_schema
-    [
-      [| Value.Int 1; Value.Int 10; Value.Float 1.5 |];
-      [| Value.Int 1; Value.Int 20; Value.Float 2.5 |];
-      [| Value.Int 2; Value.Int 5; Value.Float 4.0 |];
-      [| Value.Int 2; Value.Null; Value.Float 6.0 |];
-      [| Value.Null; Value.Int 7; Value.Null |];
-    ]
-
-let cell table i name = (Table.row table i).(Table.column_index table name)
-
-let test_aggregate_group_by_count_sum () =
-  let out =
-    Aggregate.group_by ~keys:[ "grp" ]
-      ~aggregations:[ ("n", Aggregate.Count); ("total", Aggregate.Sum "v") ]
-      agg_table
-  in
-  (* groups sorted by key: Null < 1 < 2 *)
-  Alcotest.(check int) "three groups" 3 (Table.cardinality out);
-  Alcotest.(check string) "null group count" "1" (Value.to_string (cell out 0 "n"));
-  Alcotest.(check string) "group 1 count" "2" (Value.to_string (cell out 1 "n"));
-  Alcotest.(check string) "group 1 sum" "30" (Value.to_string (cell out 1 "total"));
-  Alcotest.(check string) "group 2 sum skips null" "5"
-    (Value.to_string (cell out 2 "total"))
-
-let test_aggregate_avg_min_max () =
-  let out =
-    Aggregate.group_by ~keys:[ "grp" ]
-      ~aggregations:
-        [ ("avg_w", Aggregate.Avg "w"); ("min_v", Aggregate.Min "v");
-          ("max_v", Aggregate.Max "v") ]
-      agg_table
-  in
-  Alcotest.(check string) "group 1 avg" "2" (Value.to_string (cell out 1 "avg_w"));
-  Alcotest.(check string) "group 1 min" "10" (Value.to_string (cell out 1 "min_v"));
-  Alcotest.(check string) "group 1 max" "20" (Value.to_string (cell out 1 "max_v"));
-  (* null group's w is Null only -> Avg Null *)
-  Alcotest.(check bool) "null avg" true
-    (match cell out 0 "avg_w" with Value.Null -> true | _ -> false)
-
-let test_aggregate_count_distinct () =
-  let out =
-    Aggregate.group_by ~keys:[ "grp" ]
-      ~aggregations:[ ("d", Aggregate.Count_distinct "v") ]
-      agg_table
-  in
-  Alcotest.(check string) "group 2 distinct skips null" "1"
-    (Value.to_string (cell out 2 "d"))
-
-let test_aggregate_empty_keys_rejected () =
-  Alcotest.check_raises "empty keys"
-    (Invalid_argument "Aggregate.group_by: empty key list") (fun () ->
-      ignore (Aggregate.group_by ~keys:[] ~aggregations:[] agg_table))
-
-let test_aggregate_order_by_and_top_k () =
-  let sorted = Aggregate.order_by ~by:"v" agg_table in
-  Alcotest.(check bool) "nulls first ascending" true
-    (match (Table.row sorted 0).(1) with Value.Null -> true | _ -> false);
-  let top = Aggregate.top_k ~by:"v" 2 agg_table in
-  Alcotest.(check int) "k rows" 2 (Table.cardinality top);
-  Alcotest.(check string) "largest first" "20"
-    (Value.to_string (Table.row top 0).(1))
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -753,14 +641,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_parser_errors;
           Alcotest.test_case "evaluation" `Quick test_parser_parsed_predicates_evaluate;
         ] );
-      ( "aggregate",
-        [
-          Alcotest.test_case "count/sum" `Quick test_aggregate_group_by_count_sum;
-          Alcotest.test_case "avg/min/max" `Quick test_aggregate_avg_min_max;
-          Alcotest.test_case "count distinct" `Quick test_aggregate_count_distinct;
-          Alcotest.test_case "empty keys" `Quick test_aggregate_empty_keys_rejected;
-          Alcotest.test_case "order_by/top_k" `Quick test_aggregate_order_by_and_top_k;
-        ] );
       ( "csv",
         [
           Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
@@ -768,11 +648,8 @@ let () =
           Alcotest.test_case "read_auto widening" `Quick test_csv_read_auto_widen_to_string;
           Alcotest.test_case "read_auto arity error line numbers" `Quick
             test_csv_read_auto_arity_error_line_number;
-          Alcotest.test_case "bad field" `Quick test_csv_bad_field;
           Alcotest.test_case "unterminated quote located" `Quick
             test_csv_unterminated_quote_located;
-          Alcotest.test_case "lenient skips bad rows" `Quick
-            test_csv_read_lenient_skips_bad_rows;
           Alcotest.test_case "strict ok roundtrip" `Quick
             test_csv_strict_ok_roundtrip;
         ] );

@@ -6,8 +6,14 @@
 # Builds REV in a new git worktree at BASE_DIR (default: a sibling of the
 # working tree, <repo>-base; it must not exist yet, and is removed on
 # exit) and the working tree itself, then cmp's the two builds' outputs:
-#   1. `bench/main.exe --smoke` stdout (the CI smoke grid);
-#   2. `repro_cli batch` over generated IMDB stores of the eight JOB join
+#   1. `bench/main.exe --smoke` stdout (the CI smoke grid: Tables IV-VI);
+#   2. `bench/main.exe --quick --tables 7,8,9 --jobs 2 --skip-bechamel`
+#      stdout: Tables VII(a), VII(b), VIII and IX, the related-work table,
+#      the star join, the 4-table chain and the four ablations (no wall
+#      time reaches it; about 80 s per side on 2 vCPUs);
+#   3. `repro_cli bakeoff --scale 0.05 --runs 5 --thetas 0.01 --jobs 2`
+#      stdout (the cross-estimator grid and its coverage table);
+#   4. `repro_cli batch` over generated IMDB stores of the eight JOB join
 #      graphs, at theta 0.05 for scales 0.1 and 0.005, at theta 0.0001
 #      for scale 0.1 (where CSDL-Opt's budget fits only the sentries of
 #      mc_ct and every q_v is 0), and at theta 0.05 for scale 0.1 built
@@ -57,9 +63,18 @@ same() {
   echo "identical: $1 ($(wc -l < "$out/$1.new") lines)"
 }
 
-"$top/_build/default/bench/main.exe" --smoke --jobs 2 > "$out/smoke.new" 2>/dev/null
-"$base/_build/default/bench/main.exe" --smoke --jobs 2 > "$out/smoke.old" 2>/dev/null
+for side in new old; do
+  if [ $side = new ]; then tree=$top; else tree=$base; fi
+  bin=$tree/_build/default
+  "$bin/bench/main.exe" --smoke --jobs 2 > "$out/smoke.$side" 2>/dev/null
+  "$bin/bench/main.exe" --quick --tables 7,8,9 --jobs 2 --skip-bechamel \
+    > "$out/quick.$side" 2>/dev/null
+  "$bin/bin/repro_cli.exe" bakeoff --scale 0.05 --runs 5 --thetas 0.01 \
+    --jobs 2 > "$out/bakeoff.$side" 2>/dev/null
+done
 same smoke
+same quick
+same bakeoff
 
 # The JOB queries' predicates (perfbench/inputs.ml) with their constants
 # swept, per join graph: "LEFT ;; RIGHT", an empty side selects nothing.
